@@ -15,6 +15,7 @@ Operator counts per kind:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -129,6 +130,10 @@ class NoiseScenario:
 
 def gamma_of_t(t: float, decay_rate: float) -> float:
     """Time-dependent channel strength 1 - exp(-t * rate), clamped to [0, 1]."""
+    if not (math.isfinite(t) and math.isfinite(decay_rate)):
+        raise InvalidParametersError(
+            f"time and decay rate must be finite, got t={t!r}, rate={decay_rate!r}"
+        )
     if t < 0.0:
         raise NegativeInputError(f"time must be nonnegative, got {t!r}")
     if decay_rate < 0.0:

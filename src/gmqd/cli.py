@@ -34,7 +34,7 @@ from .dynamics import (
     time_grid,
 )
 from .errors import GmqdError
-from .measures import gmqd_closed_form, gmqd_numeric, gmqd_oracle
+from .measures import ORACLE_DEFAULT_RESTARTS, gmqd_closed_form, gmqd_numeric, gmqd_oracle
 from .output import sweep_csv_text, sweep_json_doc
 from .states import TwoParamState, initial_state
 from .verify import run_verification
@@ -154,13 +154,13 @@ def cmd_compute(args) -> int:
         "d_closed": closed,
         "argmax_theta": numeric.argmax_theta,
         "argmax_phi": numeric.argmax_phi,
+        "argmax_degenerate": numeric.degenerate,
+        "clamped": numeric.clamped,
         "abs_err": abs(numeric.value - closed),
         "seed": args.seed,
     }
     if args.with_oracle:
-        doc["d_oracle"] = gmqd_oracle(
-            evolved, restarts=args.oracle_restarts, seed=args.seed
-        ).value
+        doc["d_oracle"] = gmqd_oracle(evolved, restarts=args.oracle_restarts).value
     _write_text(args.output, json.dumps(doc, indent=2))
     return EXIT_OK
 
@@ -257,8 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--time", type=float, default=None, help="derive strengths from this time and the decay rates")
     compute.add_argument("--rate-a", type=float, default=1.0, help="qubit decay rate (with --time)")
     compute.add_argument("--rate-b", type=float, default=1.0, help="qutrit decay rate (with --time)")
-    compute.add_argument("--with-oracle", action="store_true", help="also run the brute-force oracle")
-    compute.add_argument("--oracle-restarts", type=int, default=32)
+    compute.add_argument("--with-oracle", action="store_true", help="also run the pinching oracle")
+    compute.add_argument(
+        "--oracle-restarts", type=int, default=ORACLE_DEFAULT_RESTARTS,
+        help="best grid cells the oracle's pattern search refines",
+    )
     compute.add_argument("--seed", type=int, default=0)
     compute.add_argument("--format", choices=("json",), default="json")
     compute.add_argument("--output", default=None, help="output path (default: stdout)")

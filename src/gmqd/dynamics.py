@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
@@ -41,6 +42,8 @@ def time_grid(
     points: int = DEFAULT_TIME_POINTS, t_max: float = DEFAULT_TIME_MAX
 ) -> tuple[float, ...]:
     """Uniform grid of times over [0, t_max]."""
+    if not math.isfinite(t_max):
+        raise InvalidParametersError(f"t_max must be finite, got {t_max!r}")
     return tuple(float(x) for x in np.linspace(0.0, t_max, points))
 
 
@@ -69,6 +72,8 @@ class SweepSpec:
         grid = tuple(float(x) for x in self.grid)
         if not grid:
             raise InvalidParametersError("sweep grid is empty")
+        if not all(math.isfinite(x) for x in grid + (self.rate_a, self.rate_b)):
+            raise InvalidParametersError("sweep grid and decay rates must be finite")
         if any(hi <= lo for lo, hi in zip(grid, grid[1:])):
             raise InvalidParametersError("sweep grid must be strictly increasing")
         if self.axis is SweepAxis.GAMMA and (grid[0] < 0.0 or grid[-1] > 1.0):

@@ -5,13 +5,19 @@ a state to the nearest classical-quantum state, with the qubit as the measured
 side.  Four routes are provided and cross-checked against each other in the
 test and verification suites:
 
-* :func:`gmqd_numeric` maximises the measured-correlation objective
-  tr(A C C^T A^T) over one-qubit measurement bases (coarse grid plus simplex
-  refinement) and subtracts the result from tr(C C^T).
+* :func:`gmqd_numeric` forms the 4x9 correlation matrix C and G = C C^T.  The
+  measured correlation tr(A G A^T) of a qubit basis with Bloch direction e is
+  G_00 + e^T G_sub e, G_sub = G[1:, 1:], so the discord is
+  tr(G_sub) - lambda_max(G_sub) and the optimal basis is the top eigenvector
+  (Luo & Fu, PRA 82, 034302 (2010); Vinjanampathy & Rau, J. Phys. A 45,
+  095303 (2012)).
 * :func:`gmqd_closed_form` evaluates the per-scenario closed-form expression
   for the evolved two-parameter state family.
-* :func:`gmqd_oracle` minimises the distance over explicitly parameterised
-  classical-quantum states by seeded multi-start derivative-free search.
+* :func:`gmqd_oracle` minimises ||rho - pinched(rho)||^2 over the qubit basis,
+  where pinched(rho) = sum_k (P_k (x) I3) rho (P_k (x) I3) is the nearest
+  classical-quantum state for a fixed basis.  It works on the density matrix
+  and the qubit projectors only, sharing no code with the correlation-matrix
+  route: a fixed angle grid, then a pattern search from its best cells.
 * :func:`gmqd_dakic_two_qubit` evaluates the spectral two-qubit formula, used
   to cross-check the family's reduction to Werner states.
 """
@@ -23,7 +29,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 
 from .channels import PAULI, ChannelKind, Locality, NoiseScenario
 from .errors import (
@@ -42,12 +47,16 @@ SQRT6 = np.sqrt(6.0)
 COEFF_IMAG_TOL = 1e-10
 VALUE_CLAMP_TOL = 1e-10
 
-GRID_THETA_POINTS = 64
-GRID_PHI_POINTS = 128
-REFINE_STARTS = 3
+# Eigenvalues of G_sub within this of the largest span the optimal directions.
+DEGENERACY_TOL = 1e-12
+# A projection of a coordinate axis onto that span shorter than this counts as zero.
+ORTHOGONAL_TOL = 1e-8
 
 ORACLE_DEFAULT_RESTARTS = 32
-ORACLE_DEFAULT_SEED = 0
+ORACLE_THETA_POINTS = 17
+ORACLE_PHI_POINTS = 32
+ORACLE_STEP_TOL = 1e-10
+ORACLE_MAX_ITER = 400
 
 
 class Method(Enum):
@@ -62,6 +71,8 @@ class GmqdResult:
     """A discord value with the extremising measurement angles that produced it.
 
     ``clamped`` records that a tiny negative from roundoff was zeroed.
+    ``degenerate`` records that the optimal measurement is not unique, so the
+    angles are a conventional choice among equally good ones.
     """
 
     value: float
@@ -69,6 +80,7 @@ class GmqdResult:
     argmax_phi: float
     method: Method
     clamped: bool = False
+    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,20 +89,6 @@ class HermitianBasis:
 
     qubit_ops: tuple[np.ndarray, ...]
     qutrit_ops: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Angles of the one-qubit basis {cos(t)|0> + e^(ip) sin(t)|1>, orthogonal}."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi / 2.0:
-            raise OutOfRangeError(f"theta must lie in [0, pi/2], got {self.theta!r}")
-        if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise OutOfRangeError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
 
 
 @lru_cache(maxsize=1)
@@ -157,33 +155,6 @@ def reconstruct_state(coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("k,kij->ij", flat, _product_basis())
 
 
-def _measurement_rows(theta: float, phi: float) -> np.ndarray:
-    s2 = np.sin(2.0 * theta)
-    row = np.array([1.0, s2 * np.cos(phi), s2 * np.sin(phi), np.cos(2.0 * theta)])
-    return np.vstack((row, row * np.array([1.0, -1.0, -1.0, -1.0]))) / SQRT2
-
-
-def measurement_matrix(basis: MeasurementBasis) -> np.ndarray:
-    """2x4 matrix of overlaps tr(|k><k| X_i) of the basis projectors."""
-    return _measurement_rows(basis.theta, basis.phi)
-
-
-def _objective(gram: np.ndarray, theta: float, phi: float) -> float:
-    a = _measurement_rows(theta, phi)
-    return float(np.trace(a @ gram @ a.T))
-
-
-def _objective_grid(gram: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    s2 = np.sin(2.0 * tt)
-    rows = np.stack(
-        [np.ones_like(tt), s2 * np.cos(pp), s2 * np.sin(pp), np.cos(2.0 * tt)],
-        axis=-1,
-    )
-    a = np.stack([rows, rows * np.array([1.0, -1.0, -1.0, -1.0])], axis=-2) / SQRT2
-    return np.einsum("tpki,ij,tpkj->tp", a, gram, a)
-
-
 def _angles_from_direction(e: np.ndarray) -> tuple[float, float]:
     theta = 0.5 * np.arccos(np.clip(e[2], -1.0, 1.0))
     if np.hypot(e[0], e[1]) < 1e-12:
@@ -206,46 +177,39 @@ def _clamped(raw: float) -> tuple[float, bool]:
     raise GmqdError(f"discord value {raw!r} below the roundoff clamp window")
 
 
-def gmqd_numeric(rho: DensityMatrix) -> GmqdResult:
-    """Discord as tr(C C^T) minus the grid-plus-simplex maximum of tr(A C C^T A^T).
+def _top_direction(evals: np.ndarray, evecs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Unit vector of the top eigenspace closest to +z, and whether that space is degenerate.
 
-    A 64x128 grid over (theta, phi) in [0, pi/2] x [0, 2*pi) localises the
-    maximum; Nelder-Mead refinement from the three best grid cells polishes it
-    to stationarity.  Deterministic for a given input.
+    The eigenspace holds every eigenvector whose eigenvalue lies within
+    DEGENERACY_TOL of the largest.  When it is orthogonal to z the choice
+    falls back to x, then y.  This also fixes the sign of a non-degenerate
+    eigenvector, so equal inputs report equal angles.
+    """
+    top = evecs[:, evals >= evals[-1] - DEGENERACY_TOL]
+    for axis in (2, 0, 1):
+        proj = top @ top[axis]
+        norm = float(np.linalg.norm(proj))
+        if norm > ORTHOGONAL_TOL:
+            break
+    return proj / norm, top.shape[1] > 1
+
+
+def gmqd_numeric(rho: DensityMatrix) -> GmqdResult:
+    """Discord as tr(G_sub) - lambda_max(G_sub), with G_sub = (C C^T)[1:, 1:].
+
+    The value is the sum of the two smaller eigenvalues; the argmax angles are
+    those of the top eigenvector (see :func:`_top_direction` for degenerate
+    spectra).
     """
     coeffs = correlation_matrix(rho)
     gram = coeffs @ coeffs.T
-    total = float(np.trace(gram))
-
-    thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POINTS)
-    phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI_POINTS, endpoint=False)
-    grid_vals = _objective_grid(gram, thetas, phis)
-    flat = grid_vals.ravel()
-    order = np.argsort(flat, kind="stable")
-
-    best_val = -np.inf
-    best_angles = (0.0, 0.0)
-    for idx in order[-REFINE_STARTS:]:
-        t_idx, p_idx = divmod(int(idx), GRID_PHI_POINTS)
-        start = np.array([thetas[t_idx], phis[p_idx]])
-        res = optimize.minimize(
-            lambda x: -_objective(gram, x[0], x[1]),
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 800, "maxfev": 1600},
-        )
-        for val, angles in (
-            (float(-res.fun), (float(res.x[0]), float(res.x[1]))),
-            (float(flat[idx]), (float(start[0]), float(start[1]))),
-        ):
-            if val > best_val:
-                best_val, best_angles = val, angles
-
-    value, clamped = _clamped(total - best_val)
-    theta, phi = _canonical_angles(*best_angles)
+    evals, evecs = np.linalg.eigh(gram[1:, 1:])
+    value, clamped = _clamped(float(evals[0] + evals[1]))
+    direction, degenerate = _top_direction(evals, evecs)
+    theta, phi = _angles_from_direction(direction)
     return GmqdResult(
         value=value, argmax_theta=theta, argmax_phi=phi,
-        method=Method.NUMERIC, clamped=clamped,
+        method=Method.NUMERIC, clamped=clamped, degenerate=degenerate,
     )
 
 
@@ -331,80 +295,75 @@ def closed_form_coefficients(scenario: NoiseScenario, b: float, c: float) -> np.
     return out
 
 
-def _factor_state(v: np.ndarray) -> np.ndarray:
-    """Qutrit state L L^dag / tr(L L^dag) from 9 reals filling lower-triangular L."""
-    low = np.zeros((3, 3), dtype=complex)
-    low[0, 0], low[1, 1], low[2, 2] = v[0], v[1], v[2]
-    low[1, 0] = v[3] + 1j * v[4]
-    low[2, 0] = v[5] + 1j * v[6]
-    low[2, 1] = v[7] + 1j * v[8]
-    gram = low @ low.conj().T
-    tr = float(gram[0, 0].real + gram[1, 1].real + gram[2, 2].real)
-    if tr <= 1e-12:
-        return np.eye(3, dtype=complex) / 3.0
-    return gram / tr
+_I3 = np.eye(3)
 
 
-def _cq_distance(params: np.ndarray, rho_mat: np.ndarray) -> float:
-    """Squared distance from rho to the classical-quantum state the params encode."""
-    theta, phi = params[0], params[1]
-    p = min(max(params[2], 0.0), 1.0)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    phase = np.exp(1j * phi)
-    k1 = np.array([cos_t, phase * sin_t])
-    k2 = np.array([sin_t, -phase * cos_t])
-    chi = p * np.kron(np.outer(k1, k1.conj()), _factor_state(params[3:12]))
-    chi += (1.0 - p) * np.kron(np.outer(k2, k2.conj()), _factor_state(params[12:21]))
-    diff = rho_mat - chi
-    return float(np.vdot(diff, diff).real)
+def _pinching_distance(rho_mat: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """||rho - sum_k (P_k (x) I3) rho (P_k (x) I3)||^2 for each (theta, phi) basis.
+
+    P_1, P_2 project onto cos(t)|0> + e^(ip) sin(t)|1> and its orthogonal
+    complement.  ``theta`` and ``phi`` are equal-shape arrays; so is the result.
+    """
+    cos_t, sin_t, phase = np.cos(theta), np.sin(theta), np.exp(1j * phi)
+    kets = np.stack([
+        np.stack([cos_t, phase * sin_t], axis=-1),
+        np.stack([sin_t, -phase * cos_t], axis=-1),
+    ], axis=-2)  # (..., 2 projectors, 2 amplitudes)
+    qubit = kets[..., :, None] * kets[..., None, :].conj()
+    proj = np.einsum("...ij,ab->...iajb", qubit, _I3).reshape(qubit.shape[:-2] + (6, 6))
+    diff = rho_mat - np.sum(proj @ rho_mat @ proj, axis=-3)
+    return np.sum(np.abs(diff) ** 2, axis=(-2, -1))
 
 
-_ORACLE_LOW = np.array([0.0, 0.0, 0.0] + [-1.0] * 18)
-_ORACLE_HIGH = np.array([np.pi / 2.0, 2.0 * np.pi, 1.0] + [1.0] * 18)
+_PATTERN = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
-def gmqd_oracle(
-    rho: DensityMatrix,
-    restarts: int = ORACLE_DEFAULT_RESTARTS,
-    seed: int = ORACLE_DEFAULT_SEED,
-) -> GmqdResult:
-    """Brute-force discord: minimise tr((rho - chi)^2) over classical-quantum chi.
+def gmqd_oracle(rho: DensityMatrix, restarts: int = ORACLE_DEFAULT_RESTARTS) -> GmqdResult:
+    """Brute-force discord: minimise ||rho - pinched(rho)||^2 over the qubit basis.
 
-    chi = p |k1><k1| (x) tau1 + (1-p) |k2><k2| (x) tau2, where {|k1>, |k2>} is
-    the (theta, phi) qubit basis and each qutrit state tau is parameterised by
-    a lower-triangular complex factor L as L L^dag / tr(L L^dag); 21 real
-    parameters in total.  Runs ``restarts`` derivative-free local searches from
-    seeded uniform-random starts, then polishes the winner once more.  This
+    For a fixed basis the pinched state is the nearest classical-quantum
+    state, so only the two basis angles are searched.  A fixed
+    ORACLE_THETA_POINTS x ORACLE_PHI_POINTS grid over [0, pi/2] x [0, 2*pi)
+    is evaluated at once; its ``restarts`` best cells are then refined
+    together by a compass pattern search whose step halves whenever no move
+    improves, down to ORACLE_STEP_TOL.  Deterministic for a given input.  This
     route is deliberately independent of the correlation-matrix machinery.
     """
     if rho.dim != 6:
         raise DimensionMismatchError(f"oracle needs a 6x6 state, got {rho.dim}")
     if restarts < 1:
         raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
-    rng = np.random.default_rng(seed)
     mat = np.asarray(rho.mat)
 
-    best_fun = np.inf
-    best_x = None
-    for _ in range(restarts):
-        start = rng.uniform(_ORACLE_LOW, _ORACLE_HIGH)
-        res = optimize.minimize(
-            _cq_distance, start, args=(mat,), method="Powell",
-            options={"xtol": 1e-7, "ftol": 1e-9, "maxfev": 2500},
-        )
-        if res.fun < best_fun:
-            best_fun, best_x = float(res.fun), np.asarray(res.x)
-
-    polish = optimize.minimize(
-        _cq_distance, best_x, args=(mat,), method="Powell",
-        options={"xtol": 1e-10, "ftol": 1e-13, "maxfev": 6000},
+    thetas, phis = np.meshgrid(
+        np.linspace(0.0, np.pi / 2.0, ORACLE_THETA_POINTS),
+        np.linspace(0.0, 2.0 * np.pi, ORACLE_PHI_POINTS, endpoint=False),
+        indexing="ij",
     )
-    if polish.fun < best_fun:
-        best_fun, best_x = float(polish.fun), np.asarray(polish.x)
+    grid_vals = _pinching_distance(mat, thetas, phis).ravel()
+    best = np.argsort(grid_vals, kind="stable")[:restarts]
+    x = np.stack([thetas.ravel()[best], phis.ravel()[best]], axis=-1)
+    fx = grid_vals[best]
+    step = np.full(len(x), np.pi / (2.0 * (ORACLE_THETA_POINTS - 1)))
 
-    theta, phi = _canonical_angles(float(best_x[0]), float(best_x[1]))
+    for _ in range(ORACLE_MAX_ITER):
+        active = step > ORACLE_STEP_TOL
+        if not active.any():
+            break
+        trial = x[active, None, :] + step[active, None, None] * _PATTERN
+        trial_vals = _pinching_distance(mat, trial[..., 0], trial[..., 1])
+        pick = np.argmin(trial_vals, axis=1)
+        picked = trial_vals[np.arange(len(pick)), pick]
+        moved = picked < fx[active]
+        idx = np.flatnonzero(active)
+        x[idx[moved]] = trial[moved, pick[moved]]
+        fx[idx[moved]] = picked[moved]
+        step[idx[~moved]] *= 0.5
+
+    winner = int(np.argmin(fx))
+    theta, phi = _canonical_angles(float(x[winner, 0]), float(x[winner, 1]))
     return GmqdResult(
-        value=max(best_fun, 0.0), argmax_theta=theta, argmax_phi=phi,
+        value=max(float(fx[winner]), 0.0), argmax_theta=theta, argmax_phi=phi,
         method=Method.ORACLE,
     )
 

@@ -6,6 +6,7 @@ fixed project-wide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,10 @@ class TwoParamState:
     c: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
+            raise InvalidParametersError(
+                f"weights must be finite, got a={self.a!r}, b={self.b!r}, c={self.c!r}"
+            )
         total = 2.0 * self.a + 3.0 * self.b + self.c
         if abs(total - 1.0) > PARAM_TOL:
             raise InvalidParametersError(

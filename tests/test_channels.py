@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmqd.channels import (
     ChannelKind,
@@ -13,6 +17,8 @@ from gmqd.channels import (
 )
 from gmqd.errors import InvalidParametersError, NegativeInputError, OutOfRangeError
 from gmqd.states import TwoParamState, initial_state, random_density, validate_density
+
+NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
 
 ALL_KINDS = list(ChannelKind)
 ALL_SCENARIOS = [
@@ -43,6 +49,13 @@ class TestGammaOfT:
             gamma_of_t(-0.1, 1.0)
         with pytest.raises(NegativeInputError):
             gamma_of_t(0.1, -1.0)
+
+    @given(bad=NON_FINITE, good=st.floats(0.0, 10.0), slot=st.integers(0, 1))
+    def test_non_finite_inputs(self, bad, good, slot):
+        args = [good, good]
+        args[slot] = bad
+        with pytest.raises(InvalidParametersError, match="finite"):
+            gamma_of_t(*args)
 
 
 class TestKrausSets:

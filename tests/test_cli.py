@@ -1,16 +1,36 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gmqd
 from gmqd.cli import main
 from gmqd.output import CSV_HEADER
+
+NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_redirected(*argv):
+    """Like run_cli, without the capsys fixture, which Hypothesis does not reset between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestCompute:
@@ -70,7 +90,37 @@ class TestCompute:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["d_oracle"] == pytest.approx(doc["d_numeric"], abs=1e-4)
+        assert doc["d_oracle"] == pytest.approx(doc["d_numeric"], abs=1e-8)
+
+    def test_reports_clamp_and_degeneracy(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "--b", "0.2", "--c", "0.1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["clamped"] is False
+        assert doc["argmax_degenerate"] is True
+        assert (doc["argmax_theta"], doc["argmax_phi"]) == (0.0, 0.0)
+        code, out, _ = run_cli(
+            capsys, "compute", "--b", "0.2", "--c", "0.1",
+            "--channel", "dephasing", "--gamma-a", "0.3", "--gamma-b", "0.3",
+        )
+        assert json.loads(out)["argmax_degenerate"] is False
+
+    @settings(deadline=None)
+    @given(
+        bad=NON_FINITE,
+        flag=st.sampled_from(
+            ("--b", "--c", "--a", "--gamma-a", "--gamma-b", "--time", "--rate-a", "--rate-b")
+        ),
+    )
+    def test_non_finite_input_exits_2(self, bad, flag):
+        values = {"--b": "0.2", "--c": "0.1"}
+        if flag in ("--rate-a", "--rate-b"):
+            values["--time"] = "1.0"
+        values[flag] = repr(bad)
+        code, out, err = run_cli_redirected("compute", *(f"{k}={v}" for k, v in values.items()))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_explicit_abc_consistency_check(self, capsys):
         code, _, err = run_cli(
@@ -160,6 +210,16 @@ class TestSweep:
         data = [l for l in out_file.read_text().splitlines() if l and not l.startswith("#")]
         assert len(data) == 1 + 25
 
+    @settings(deadline=None)
+    @given(bad=NON_FINITE, flag=st.sampled_from(("--b", "--c", "--t-max", "--rate-a", "--rate-b")))
+    def test_non_finite_input_exits_2(self, bad, flag):
+        values = {"--b": "0.2", "--c": "0.1", "--axis": "time", "--points": "3"}
+        values[flag] = repr(bad)
+        code, out, err = run_cli_redirected("sweep", *(f"{k}={v}" for k, v in values.items()))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestConfigFile:
     def test_config_matches_explicit_flags(self, capsys, tmp_path):
@@ -223,6 +283,17 @@ class TestVerifyCommand:
         assert code == 1
         assert "coefficient-tables/bit-flip" in out
         assert "coefficient-tables/bit-flip" in err
+
+
+class TestImport:
+    def test_import_does_not_load_scipy(self):
+        src = str(Path(gmqd.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        probe = "import sys, gmqd, gmqd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestBadUsage:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmqd.channels import ChannelKind, Locality, NoiseScenario
 from gmqd.dynamics import (
@@ -15,6 +19,8 @@ from gmqd.dynamics import (
 )
 from gmqd.errors import InvalidParametersError
 from gmqd.measures import gmqd_closed_form
+
+NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
 
 ALL_SCENARIOS = [
     NoiseScenario(kind, locality) for kind in ChannelKind for locality in Locality
@@ -44,6 +50,23 @@ class TestSweepSpecValidation:
         with pytest.raises(InvalidParametersError):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (-1.0, 0.0),
                      axis=SweepAxis.TIME)
+
+    @given(bad=NON_FINITE, where=st.sampled_from(("grid", "rate_a", "rate_b")),
+           axis=st.sampled_from(tuple(SweepAxis)))
+    def test_non_finite_grid_or_rate(self, bad, where, axis):
+        kwargs = {"rate_a": 1.0, "rate_b": 1.0}
+        grid = (0.0, 0.5)
+        if where == "grid":
+            grid = (0.0, 0.5, bad)
+        else:
+            kwargs[where] = bad
+        with pytest.raises(InvalidParametersError, match="finite"):
+            spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, grid, axis=axis, **kwargs)
+
+    @given(bad=NON_FINITE)
+    def test_non_finite_time_grid_end(self, bad):
+        with pytest.raises(InvalidParametersError, match="finite"):
+            time_grid(5, bad)
 
     def test_independent_coupling_needs_multilocal(self):
         with pytest.raises(InvalidParametersError):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmqd.errors import (
     InvalidParametersError,
@@ -20,6 +24,8 @@ from gmqd.states import (
     werner_state,
 )
 
+NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+
 
 class TestTwoParamState:
     def test_from_bc_derives_a(self):
@@ -39,6 +45,20 @@ class TestTwoParamState:
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidParametersError, match="nonnegative"):
             TwoParamState(a=0.55, b=0.1, c=-0.4)
+
+    @given(bad=NON_FINITE, good=st.floats(0.0, 0.3), slot=st.integers(0, 1))
+    def test_from_bc_rejects_non_finite(self, bad, good, slot):
+        bc = [good, good]
+        bc[slot] = bad
+        with pytest.raises(InvalidParametersError):
+            TwoParamState.from_bc(*bc)
+
+    @given(bad=NON_FINITE, slot=st.integers(0, 2))
+    def test_direct_entry_rejects_non_finite(self, bad, slot):
+        weights = [0.15, 0.2, 0.1]
+        weights[slot] = bad
+        with pytest.raises(InvalidParametersError, match="finite"):
+            TwoParamState(*weights)
 
 
 class TestBellStates:
