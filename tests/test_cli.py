@@ -288,7 +288,8 @@ class TestVerifyCommand:
 class TestImport:
     def test_import_does_not_load_scipy(self):
         src = str(Path(gmqd.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
         probe = "import sys, gmqd, gmqd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
