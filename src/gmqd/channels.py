@@ -27,7 +27,6 @@ from .errors import (
     NegativeInputError,
     OutOfRangeError,
 )
-from .linalg import as_matrix
 from .states import DensityMatrix, validate_density
 
 COMPLETENESS_TOL = 1e-12
@@ -85,28 +84,29 @@ def _check_gamma(gamma: float, name: str = "gamma") -> None:
 class KrausSet:
     """Kraus operators for one subsystem, already embedded as 6x6 matrices.
 
-    Completeness sum_k K_k^dag K_k = I6 is enforced at construction.
+    ``ops`` is a read-only (n, 6, 6) stack; any sequence of 6x6 operators is
+    accepted.  Completeness sum_k K_k^dag K_k = I6 is enforced at construction.
     """
 
     subsystem: Subsystem
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
     gamma: float
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        ops = tuple(as_matrix(op).copy() for op in self.ops)
-        if not ops:
-            raise InvalidParametersError("Kraus set must contain at least one operator")
-        acc = np.zeros((6, 6), dtype=complex)
-        for op in ops:
-            if op.shape != (6, 6):
-                raise DimensionMismatchError(f"Kraus operators must be 6x6, got {op.shape}")
-            acc += op.conj().T @ op
+        ops = np.array(self.ops, dtype=complex)
+        if ops.ndim != 3 or len(ops) == 0:
+            raise InvalidParametersError("Kraus set must be a nonempty sequence of matrices")
+        if ops.shape[1:] != (6, 6):
+            raise DimensionMismatchError(f"Kraus operators must be 6x6, got {ops.shape[1:]}")
+        if not np.isfinite(ops).all():
+            raise InvalidParametersError("Kraus operator entries must be finite")
+        rows = ops.reshape(-1, 6)  # the operators stacked vertically
+        acc = rows.conj().T @ rows
         deviation = float(np.max(np.abs(acc - _I6)))
         if deviation > COMPLETENESS_TOL:
             raise InvalidParametersError(f"Kraus completeness violated by {deviation:.3e}")
-        for op in ops:
-            op.setflags(write=False)
+        ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
 
 
@@ -141,75 +141,102 @@ def gamma_of_t(t: float, decay_rate: float) -> float:
     return float(min(1.0, max(0.0, -np.expm1(-t * decay_rate))))
 
 
-def _qubit_ops(kind: ChannelKind, g: float) -> list[np.ndarray]:
+# Every Kraus operator is K_n = sum_m coeffs[n, m] T_m over a fixed stack of
+# terms T_m per kind, kept embedded in the 6x6 space.  Building, checking and
+# applying a set are then one array product each whatever its size, so every
+# channel kind costs about the same per point.  Unitary mixtures use their
+# unitaries as terms and a diagonal of weights; dephasing uses the level
+# projectors.
+
+def _embedded(ops, subsystem: Subsystem) -> np.ndarray:
+    if subsystem is Subsystem.QUBIT:
+        stack = np.stack([np.kron(op, _I3) for op in ops])
+    else:
+        stack = np.stack([np.kron(_I2, op) for op in ops])
+    stack.setflags(write=False)
+    return stack
+
+
+def _projectors(dim: int) -> list[np.ndarray]:
+    return [np.diag(np.eye(dim)[k]).astype(complex) for k in range(dim)]
+
+
+def _qubit_units(kind: ChannelKind) -> list[np.ndarray]:
     if kind is ChannelKind.DEPHASING:
-        return [
-            np.diag([1.0, np.sqrt(1.0 - g)]).astype(complex),
-            np.diag([0.0, np.sqrt(g)]).astype(complex),
-        ]
+        return _projectors(2)
     if kind is ChannelKind.PHASE_FLIP:
-        return [np.sqrt(1.0 - g / 2.0) * _I2, np.sqrt(g / 2.0) * PAULI[2]]
+        return [_I2, PAULI[2]]
     if kind is ChannelKind.BIT_FLIP:
-        return [np.sqrt(1.0 - g / 2.0) * _I2, np.sqrt(g / 2.0) * PAULI[0]]
+        return [_I2, PAULI[0]]
     if kind is ChannelKind.BIT_PHASE_FLIP:
-        return [np.sqrt(1.0 - g / 2.0) * _I2, np.sqrt(g / 2.0) * PAULI[1]]
-    return [np.sqrt(1.0 - 0.75 * g) * _I2] + [np.sqrt(g / 4.0) * s for s in PAULI]
+        return [_I2, PAULI[1]]
+    return [_I2, *PAULI]
 
 
-def _qutrit_ops(kind: ChannelKind, g: float) -> list[np.ndarray]:
+def _qutrit_units(kind: ChannelKind) -> list[np.ndarray]:
     w, wc = OMEGA, np.conj(OMEGA)
     if kind is ChannelKind.DEPHASING:
-        keep = np.sqrt(1.0 - g)
-        return [
-            np.diag([1.0, keep, keep]).astype(complex),
-            np.diag([0.0, np.sqrt(g), 0.0]).astype(complex),
-            np.diag([0.0, 0.0, np.sqrt(g)]).astype(complex),
-        ]
+        return _projectors(3)
     if kind is ChannelKind.PHASE_FLIP:
-        return [
-            np.sqrt(1.0 - 2.0 * g / 3.0) * _I3,
-            np.sqrt(g / 3.0) * np.diag([1.0 + 0j, wc, w]),
-            np.sqrt(g / 3.0) * np.diag([1.0 + 0j, w, wc]),
-        ]
+        return [_I3, np.diag([1.0 + 0j, wc, w]), np.diag([1.0 + 0j, w, wc])]
     if kind is ChannelKind.BIT_FLIP:
-        return [
-            np.sqrt(1.0 - 2.0 * g / 3.0) * _I3,
-            np.sqrt(g / 3.0) * _SHIFT_UP,
-            np.sqrt(g / 3.0) * _SHIFT_DOWN,
-        ]
+        return [_I3, _SHIFT_UP, _SHIFT_DOWN]
     if kind is ChannelKind.BIT_PHASE_FLIP:
         # Four shift-plus-phase unitaries in conjugate pairs.
         f2 = np.array([[0, 0, w], [1, 0, 0], [0, wc, 0]], dtype=complex)
         f4 = np.array([[0, wc, 0], [0, 0, w], [1, 0, 0]], dtype=complex)
-        weight = np.sqrt(g / 6.0)
-        return [np.sqrt(1.0 - 2.0 * g / 3.0) * _I3] + [
-            weight * f for f in (f2, np.conj(f2), f4, np.conj(f4))
-        ]
+        return [_I3, f2, np.conj(f2), f4, np.conj(f4)]
     # Depolarizing: the eight shift/phase products plus the identity remainder.
     y, z = _SHIFT_DOWN, _PHASE
-    units = (y, z, y @ y, y @ z, y @ y @ z, y @ z @ z, y @ y @ z @ z, z @ z)
-    return [np.sqrt(1.0 - 8.0 * g / 9.0) * _I3] + [np.sqrt(g) / 3.0 * u for u in units]
+    return [_I3, y, z, y @ y, y @ z, y @ y @ z, y @ z @ z, y @ y @ z @ z, z @ z]
+
+
+_QUBIT_TERMS = {kind: _embedded(_qubit_units(kind), Subsystem.QUBIT) for kind in ChannelKind}
+_QUTRIT_TERMS = {kind: _embedded(_qutrit_units(kind), Subsystem.QUTRIT) for kind in ChannelKind}
+
+
+def _qubit_coeffs(kind: ChannelKind, g: float) -> np.ndarray:
+    if kind is ChannelKind.DEPHASING:
+        return np.array([[1.0, np.sqrt(1.0 - g)], [0.0, np.sqrt(g)]])
+    if kind is ChannelKind.DEPOLARIZING:
+        return np.diag([np.sqrt(1.0 - 0.75 * g)] + [np.sqrt(g / 4.0)] * 3)
+    return np.diag([np.sqrt(1.0 - g / 2.0), np.sqrt(g / 2.0)])
+
+
+def _qutrit_coeffs(kind: ChannelKind, g: float) -> np.ndarray:
+    if kind is ChannelKind.DEPHASING:
+        keep, lost = np.sqrt(1.0 - g), np.sqrt(g)
+        return np.array([[1.0, keep, keep], [0.0, lost, 0.0], [0.0, 0.0, lost]])
+    if kind is ChannelKind.BIT_PHASE_FLIP:
+        return np.diag([np.sqrt(1.0 - 2.0 * g / 3.0)] + [np.sqrt(g / 6.0)] * 4)
+    if kind is ChannelKind.DEPOLARIZING:
+        return np.diag([np.sqrt(1.0 - 8.0 * g / 9.0)] + [np.sqrt(g) / 3.0] * 8)
+    return np.diag([np.sqrt(1.0 - 2.0 * g / 3.0)] + [np.sqrt(g / 3.0)] * 2)
+
+
+def _combine(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The (n, 6, 6) stack sum_m coeffs[n, m] terms[m]."""
+    return (coeffs @ terms.reshape(len(terms), 36)).reshape(-1, 6, 6)
 
 
 def qubit_kraus(kind: ChannelKind, gamma_a: float) -> KrausSet:
     """Kraus set acting on the qubit, embedded as op (x) I3."""
     _check_gamma(gamma_a, "gamma_a")
-    ops = tuple(np.kron(op, _I3) for op in _qubit_ops(kind, gamma_a))
+    ops = _combine(_qubit_coeffs(kind, gamma_a), _QUBIT_TERMS[kind])
     return KrausSet(subsystem=Subsystem.QUBIT, ops=ops, gamma=gamma_a)
 
 
 def qutrit_kraus(kind: ChannelKind, gamma_b: float) -> KrausSet:
     """Kraus set acting on the qutrit, embedded as I2 (x) op."""
     _check_gamma(gamma_b, "gamma_b")
-    ops = tuple(np.kron(_I2, op) for op in _qutrit_ops(kind, gamma_b))
+    ops = _combine(_qutrit_coeffs(kind, gamma_b), _QUTRIT_TERMS[kind])
     return KrausSet(subsystem=Subsystem.QUTRIT, ops=ops, gamma=gamma_b)
 
 
-def _apply_ops(mat: np.ndarray, ops: tuple[np.ndarray, ...]) -> np.ndarray:
-    out = np.zeros_like(mat)
-    for op in ops:
-        out += op @ mat @ op.conj().T
-    return out
+def _apply_ops(mat: np.ndarray, ops) -> np.ndarray:
+    """sum_k K_k mat K_k^dag over a stack (or sequence) of operators."""
+    ops = np.asarray(ops)
+    return (ops @ mat @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply_scenario(rho: DensityMatrix, scenario: NoiseScenario) -> DensityMatrix:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gmqd.channels import (
     ChannelKind,
+    KrausSet,
     Locality,
     NoiseScenario,
     Subsystem,
@@ -15,7 +16,12 @@ from gmqd.channels import (
     qubit_kraus,
     qutrit_kraus,
 )
-from gmqd.errors import InvalidParametersError, NegativeInputError, OutOfRangeError
+from gmqd.errors import (
+    DimensionMismatchError,
+    InvalidParametersError,
+    NegativeInputError,
+    OutOfRangeError,
+)
 from gmqd.states import TwoParamState, initial_state, random_density, validate_density
 
 NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
@@ -96,6 +102,36 @@ class TestKrausSets:
         for op in ops[1:]:
             assert np.max(np.abs(op)) == pytest.approx(np.sqrt(gamma / 4))
 
+    def test_qutrit_dephasing_operators(self):
+        gamma = 0.36
+        ops = qutrit_kraus(ChannelKind.DEPHASING, gamma).ops
+        expected = [np.diag([1.0, 0.8, 0.8]), np.diag([0.0, 0.6, 0.0]), np.diag([0.0, 0.0, 0.6])]
+        for op, small in zip(ops, expected):
+            assert np.allclose(op, np.kron(np.eye(2), small), atol=1e-15)
+
+    def test_ops_are_a_read_only_stack(self):
+        kraus = qutrit_kraus(ChannelKind.BIT_PHASE_FLIP, 0.3)
+        assert kraus.ops.shape == (5, 6, 6)
+        with pytest.raises(ValueError):
+            kraus.ops[0, 0, 0] = 0.0
+
+    def test_accepts_a_list_of_operators(self):
+        ops = [np.sqrt(0.25) * np.eye(6), np.sqrt(0.75) * np.eye(6)]
+        kraus = KrausSet(subsystem=Subsystem.QUBIT, ops=ops, gamma=0.5)
+        assert kraus.ops.shape == (2, 6, 6)
+        ops[0][0, 0] = 9.0  # the set keeps its own copy
+        assert kraus.ops[0, 0, 0] == 0.5
+
+    @pytest.mark.parametrize("ops, error", [
+        ([], InvalidParametersError),
+        ([np.eye(4)], DimensionMismatchError),
+        ([np.full((6, 6), np.nan)], InvalidParametersError),
+        ([0.5 * np.eye(6)], InvalidParametersError),
+    ], ids=["empty", "not-6x6", "non-finite", "incomplete"])
+    def test_rejects_bad_operator_lists(self, ops, error):
+        with pytest.raises(error):
+            KrausSet(subsystem=Subsystem.QUBIT, ops=ops, gamma=0.5)
+
     def test_gamma_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             qubit_kraus(ChannelKind.DEPHASING, 1.2)
@@ -165,6 +201,20 @@ class TestApplyScenario:
             stamped = NoiseScenario(scenario.kind, scenario.locality, ga, gb)
             out = apply_scenario(mixed, stamped)
             assert np.max(np.abs(out.mat - mixed.mat)) <= 1e-10
+
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS,
+                             ids=lambda s: f"{s.kind.value}/{s.locality.value}")
+    def test_matches_an_operator_by_operator_sum(self, scenario, rng):
+        rho = random_density(6, rng)
+        ga = 0.3 if scenario.locality is not Locality.QUTRIT_ONLY else 0.0
+        gb = 0.7 if scenario.locality is not Locality.QUBIT_ONLY else 0.0
+        expected = rho.mat
+        for maker, gamma, active in ((qubit_kraus, ga, Locality.QUTRIT_ONLY),
+                                     (qutrit_kraus, gb, Locality.QUBIT_ONLY)):
+            if scenario.locality is not active:
+                expected = sum(op @ expected @ op.conj().T for op in maker(scenario.kind, gamma).ops)
+        out = apply_scenario(rho, NoiseScenario(scenario.kind, scenario.locality, ga, gb))
+        assert np.max(np.abs(out.mat - expected)) <= 1e-15
 
     def test_subsystem_application_order_is_irrelevant(self, rng):
         from gmqd.channels import _apply_ops
