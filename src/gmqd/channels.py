@@ -233,9 +233,8 @@ def qutrit_kraus(kind: ChannelKind, gamma_b: float) -> KrausSet:
     return KrausSet(subsystem=Subsystem.QUTRIT, ops=ops, gamma=gamma_b)
 
 
-def _apply_ops(mat: np.ndarray, ops) -> np.ndarray:
-    """sum_k K_k mat K_k^dag over a stack (or sequence) of operators."""
-    ops = np.asarray(ops)
+def _apply_ops(mat: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_k K_k mat K_k^dag over an (n, 6, 6) stack of operators."""
     return (ops @ mat @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
