@@ -13,9 +13,10 @@ import argparse
 
 import numpy as np
 
-from gmqd.channels import ChannelKind, Locality, NoiseScenario, apply_scenario
+from gmqd.channels import apply_scenario
 from gmqd.measures import gmqd_closed_form, gmqd_numeric, gmqd_oracle
 from gmqd.states import TwoParamState, initial_state
+from gmqd.verify import sample_point
 
 
 def main() -> int:
@@ -30,21 +31,14 @@ def main() -> int:
           f"{'oracle':>12} {'max spread':>11}")
     worst = 0.0
     for _ in range(args.samples):
-        b = float(rng.uniform(0.0, 1.0 / 3.0))
-        c = float(rng.uniform(0.0, 1.0 - 3.0 * b))
-        kind = list(ChannelKind)[rng.integers(len(ChannelKind))]
-        locality = list(Locality)[rng.integers(len(Locality))]
-        ga = float(rng.uniform()) if locality is not Locality.QUTRIT_ONLY else 0.0
-        gb = float(rng.uniform()) if locality is not Locality.QUBIT_ONLY else 0.0
-        scenario = NoiseScenario(kind, locality, ga, gb)
-
+        b, c, scenario = sample_point(rng)
         evolved = apply_scenario(initial_state(TwoParamState.from_bc(b, c)), scenario)
         numeric = gmqd_numeric(evolved).value
         closed = gmqd_closed_form(scenario, b, c)
         oracle = gmqd_oracle(evolved, restarts=args.restarts).value
         spread = max(numeric, closed, oracle) - min(numeric, closed, oracle)
         worst = max(worst, spread)
-        label = f"{kind.value}/{locality.value}"
+        label = f"{scenario.kind.value}/{scenario.locality.value}"
         print(f"{b:8.4f} {c:8.4f} {label:<32} {numeric:12.8f} {closed:12.8f} "
               f"{oracle:12.8f} {spread:11.3e}")
     print(f"\nworst three-way spread: {worst:.3e}")

@@ -16,7 +16,7 @@ Operator counts per kind:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -85,12 +85,15 @@ class KrausSet:
     """Kraus operators for one subsystem, already embedded as 6x6 matrices.
 
     ``ops`` is a read-only (n, 6, 6) stack; any sequence of 6x6 operators is
-    accepted.  Completeness sum_k K_k^dag K_k = I6 is enforced at construction.
+    accepted.  Completeness sum_k K_k^dag K_k = I6 is enforced at construction
+    to COMPLETENESS_TOL; ``completeness_error`` records the largest entry of
+    |sum_k K_k^dag K_k - I6|.
     """
 
     subsystem: Subsystem
     ops: np.ndarray
     gamma: float
+    completeness_error: float = field(init=False)
 
     def __post_init__(self):
         _check_gamma(self.gamma)
@@ -108,6 +111,7 @@ class KrausSet:
             raise InvalidParametersError(f"Kraus completeness violated by {deviation:.3e}")
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "completeness_error", deviation)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,14 @@ class Coupling(Enum):
     INDEPENDENT = "independent"
 
 
+def _check_points(points: int) -> None:
+    if points < 1:
+        raise InvalidParametersError(f"grid needs at least one point, got {points}")
+
+
 def gamma_grid(points: int = DEFAULT_GAMMA_POINTS) -> tuple[float, ...]:
     """Uniform grid of channel strengths over [0, 1]."""
+    _check_points(points)
     return tuple(float(x) for x in np.linspace(0.0, 1.0, points))
 
 
@@ -42,6 +48,7 @@ def time_grid(
     points: int = DEFAULT_TIME_POINTS, t_max: float = DEFAULT_TIME_MAX
 ) -> tuple[float, ...]:
     """Uniform grid of times over [0, t_max]."""
+    _check_points(points)
     if not math.isfinite(t_max):
         raise InvalidParametersError(f"t_max must be finite, got {t_max!r}")
     return tuple(float(x) for x in np.linspace(0.0, t_max, points))

@@ -9,15 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    GmqdError,
-    NonSquareError,
-    NotHermitianError,
-)
-
-HERMITIAN_TOL = 1e-9
-ALGEBRA_TOL = 1e-12
+from .errors import DimensionMismatchError, GmqdError
 
 
 def as_matrix(values) -> np.ndarray:
@@ -30,24 +22,6 @@ def as_matrix(values) -> np.ndarray:
     return mat
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
-def trace(m) -> complex:
-    """Sum of the diagonal of a square matrix."""
-    mat = as_matrix(m)
-    if mat.shape[0] != mat.shape[1]:
-        raise NonSquareError(f"trace needs a square matrix, got shape {mat.shape}")
-    return complex(np.trace(mat))
-
-
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product tr(a^dag b) of equal-shape square matrices."""
     ma, mb = as_matrix(a), as_matrix(b)
@@ -56,22 +30,3 @@ def hs_inner(a, b) -> complex:
             f"hs_inner needs equal square shapes, got {ma.shape} and {mb.shape}"
         )
     return complex(np.vdot(ma, mb))
-
-
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    """True when m is square and equals its conjugate transpose within tol."""
-    mat = as_matrix(m)
-    if mat.shape[0] != mat.shape[1]:
-        return False
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
-
-
-def hermitian_eigenvalues(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
-    mat = as_matrix(m)
-    if mat.shape[0] != mat.shape[1]:
-        raise NonSquareError(f"eigenvalues need a square matrix, got shape {mat.shape}")
-    deviation = float(np.max(np.abs(mat - mat.conj().T)))
-    if deviation > tol:
-        raise NotHermitianError(f"matrix deviates from Hermitian by {deviation:.3e}")
-    return np.linalg.eigvalsh(mat)

@@ -373,6 +373,8 @@ def gmqd_dakic_two_qubit(rho: DensityMatrix) -> GmqdResult:
 
     Extracts x_i = tr(rho sigma_i (x) I) and r_ij = tr(rho sigma_i (x) sigma_j),
     forms K = x x^T + R R^T and returns (|x|^2 + |R|^2 - lambda_max(K)) / 4.
+    The angles follow the same convention as :func:`gmqd_numeric` (see
+    :func:`_top_direction`).
     """
     if rho.dim != 4:
         raise DimensionMismatchError(f"two-qubit formula needs a 4x4 state, got {rho.dim}")
@@ -386,15 +388,9 @@ def gmqd_dakic_two_qubit(rho: DensityMatrix) -> GmqdResult:
     evals, evecs = np.linalg.eigh(k)
     raw = 0.25 * (float(bloch @ bloch) + float(np.sum(corr * corr)) - float(evals[-1]))
     value, clamped = _clamped(raw)
-
-    direction = evecs[:, -1].copy()
-    for comp in direction:  # fix the eigenvector sign for deterministic angles
-        if abs(comp) > 1e-12:
-            if comp < 0.0:
-                direction = -direction
-            break
+    direction, degenerate = _top_direction(evals, evecs)
     theta, phi = _angles_from_direction(direction)
     return GmqdResult(
         value=value, argmax_theta=theta, argmax_phi=phi,
-        method=Method.DAKIC, clamped=clamped,
+        method=Method.DAKIC, clamped=clamped, degenerate=degenerate,
     )

@@ -76,8 +76,11 @@ class TestKrausSets:
         identity = np.eye(6)
         for gamma in np.linspace(0.0, 1.0, 21):
             for maker in (qubit_kraus, qutrit_kraus):
-                acc = sum(op.conj().T @ op for op in maker(kind, float(gamma)).ops)
-                assert np.max(np.abs(acc - identity)) <= 1e-12
+                kraus = maker(kind, float(gamma))
+                acc = sum(op.conj().T @ op for op in kraus.ops)
+                deviation = np.max(np.abs(acc - identity))
+                assert deviation <= 1e-12
+                assert kraus.completeness_error == pytest.approx(deviation, abs=1e-15)
 
     def test_subsystem_labels(self):
         assert qubit_kraus(ChannelKind.DEPHASING, 0.2).subsystem is Subsystem.QUBIT

@@ -210,6 +210,14 @@ class TestSweep:
         data = [l for l in out_file.read_text().splitlines() if l and not l.startswith("#")]
         assert len(data) == 1 + 25
 
+    @pytest.mark.parametrize("shape", [(), ("--coupling", "independent"), ("--axis", "time")],
+                             ids=["gamma-line", "surface", "time-axis"])
+    def test_negative_points_exit_2(self, capsys, shape):
+        code, out, err = run_cli(capsys, "sweep", "--b", "0.2", "--c", "0.1", "--points", "-1", *shape)
+        assert code == 2
+        assert out == ""
+        assert "at least one point" in err
+
     @settings(deadline=None)
     @given(bad=NON_FINITE, flag=st.sampled_from(("--b", "--c", "--t-max", "--rate-a", "--rate-b")))
     def test_non_finite_input_exits_2(self, bad, flag):
@@ -277,6 +285,13 @@ class TestVerifyCommand:
         report = json.loads(report_file.read_text())
         assert report["passed"] is True
         assert report["seed"] == 1
+        assert all(check["points"] >= 1 for check in report["checks"])
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--quick", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be nonnegative" in err
 
     def test_injected_fault_exits_1_and_names_check(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--quick", "--inject-fault")

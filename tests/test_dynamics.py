@@ -63,6 +63,13 @@ class TestSweepSpecValidation:
         with pytest.raises(InvalidParametersError, match="finite"):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, grid, axis=axis, **kwargs)
 
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_grids_need_a_point(self, points):
+        with pytest.raises(InvalidParametersError, match="at least one point"):
+            gamma_grid(points)
+        with pytest.raises(InvalidParametersError, match="at least one point"):
+            time_grid(points)
+
     @given(bad=NON_FINITE)
     def test_non_finite_time_grid_end(self, bad):
         with pytest.raises(InvalidParametersError, match="finite"):

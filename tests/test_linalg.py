@@ -1,15 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gmqd.errors import DimensionMismatchError, GmqdError, NonSquareError, NotHermitianError
-from gmqd.linalg import adjoint, hermitian_eigenvalues, hs_inner, is_hermitian, kron, trace
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+from gmqd.errors import DimensionMismatchError, GmqdError
+from gmqd.linalg import as_matrix, hs_inner
+from gmqd.states import validate_density
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -20,58 +19,6 @@ def complex_matrices(rows, cols):
         arrays(np.float64, shape, elements=finite),
         arrays(np.float64, shape, elements=finite),
     ).map(lambda pair: pair[0] + 1j * pair[1])
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-    expected = np.diag([1.0, 1, 1, -1, -1, -1])
-    assert np.array_equal(kron(np.diag([1.0, -1.0]), np.eye(3)), expected)
-
-
-def test_kron_flips_both_qubits():
-    # sigma_x (x) sigma_x sends |00> to |11> in the 2x2 composite ordering
-    e00 = np.zeros(4)
-    e00[0] = 1.0
-    e11 = np.zeros(4)
-    e11[3] = 1.0
-    assert np.allclose(kron(SIGMA_X, SIGMA_X) @ e00, e11)
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=complex_matrices(2, 2), b=complex_matrices(2, 2), c=complex_matrices(3, 3))
-def test_kron_associative(a, b, c):
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
-    assert np.max(np.abs(left - right)) <= 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=complex_matrices(2, 3), b=complex_matrices(3, 2), c=complex_matrices(3, 2),
-       alpha=finite, beta=finite)
-def test_kron_bilinear(a, b, c, alpha, beta):
-    combined = kron(a, alpha * b + beta * c)
-    split = alpha * kron(a, b) + beta * kron(a, c)
-    assert np.max(np.abs(combined - split)) <= 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=complex_matrices(2, 2), b=complex_matrices(3, 3))
-def test_trace_multiplicative_over_kron(a, b):
-    assert abs(trace(kron(a, b)) - trace(a) * trace(b)) <= 1e-12
-
-
-def test_adjoint_examples():
-    assert np.array_equal(adjoint(np.eye(2)), np.eye(2))
-    assert np.array_equal(adjoint(SIGMA_Y), SIGMA_Y)
-    nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert np.array_equal(adjoint(nilpotent), nilpotent.T)
-
-
-def test_trace_examples():
-    assert trace(np.eye(6)) == 6
-    assert abs(trace(SIGMA_X @ SIGMA_Y)) == 0
-    with pytest.raises(NonSquareError):
-        trace(np.ones((2, 3)))
 
 
 def test_hs_inner_examples():
@@ -91,32 +38,11 @@ def test_hs_inner_self_is_real_nonnegative(a):
     assert value.real >= -1e-12
 
 
-def test_hermitian_eigenvalues_examples():
-    assert np.allclose(hermitian_eigenvalues(np.eye(3)), [1, 1, 1])
-    assert np.allclose(hermitian_eigenvalues(SIGMA_Z), [-1, 1])
-    with pytest.raises(NotHermitianError):
-        hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(NonSquareError):
-        hermitian_eigenvalues(np.ones((2, 3)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(m=complex_matrices(4, 4))
-def test_eigenvalues_sum_to_trace(m):
-    h = m + m.conj().T
-    eigs = hermitian_eigenvalues(h)
-    assert len(eigs) == 4
-    assert np.all(np.diff(eigs) >= 0)
-    assert abs(np.sum(eigs) - trace(h).real) <= 1e-10
-
-
-def test_is_hermitian():
-    assert is_hermitian(SIGMA_Y)
-    assert not is_hermitian(np.array([[0, 1], [0, 0]]))
-    assert not is_hermitian(np.ones((2, 3)))
-
-
-def test_nonfinite_rejected():
-    bad = np.array([[np.nan, 0], [0, 0]])
-    with pytest.raises(GmqdError):
-        adjoint(bad)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_nonfinite_rejected(bad):
+    mat = np.eye(2, dtype=complex) / 2
+    mat[0, 1] = bad
+    with pytest.raises(GmqdError, match="finite"):
+        as_matrix(mat)
+    with pytest.raises(GmqdError, match="finite"):
+        validate_density(mat)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmqd.channels import ChannelKind, Locality, NoiseScenario, apply_scenario
+from gmqd.channels import PAULI, ChannelKind, Locality, NoiseScenario, apply_scenario
 from gmqd.errors import DimensionMismatchError, InvalidParametersError, OutOfRangeError
 from gmqd.linalg import hs_inner
 from gmqd.measures import (
@@ -292,6 +292,24 @@ class TestDakicTwoQubit:
     def test_requires_two_qubit_state(self):
         with pytest.raises(DimensionMismatchError):
             gmqd_dakic_two_qubit(validate_density(np.eye(6) / 6))
+
+    @pytest.mark.parametrize("z", [-1.0 / 3.0, 0.0, 0.5, 1.0])
+    def test_werner_states_are_degenerate_at_the_pole(self, z):
+        # Werner states are isotropic: K = z^2 I
+        result = gmqd_dakic_two_qubit(werner_state(z))
+        assert result.degenerate
+        assert (result.argmax_theta, result.argmax_phi) == (0.0, 0.0)
+
+    def test_reported_direction_attains_the_top_eigenvalue(self, rng):
+        for _ in range(10):
+            rho = random_density(4, rng)
+            bloch = np.array([np.trace(rho.mat @ np.kron(s, np.eye(2))).real for s in PAULI])
+            corr = np.array([[np.trace(rho.mat @ np.kron(si, sj)).real for sj in PAULI] for si in PAULI])
+            k = np.outer(bloch, bloch) + corr @ corr.T
+            result = gmqd_dakic_two_qubit(rho)
+            e = bloch_direction(result.argmax_theta, result.argmax_phi)
+            assert not result.degenerate
+            assert e @ k @ e == pytest.approx(np.linalg.eigvalsh(k)[-1], abs=1e-12)
 
 
 class TestCrossChecks:

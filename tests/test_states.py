@@ -12,7 +12,6 @@ from gmqd.errors import (
     NotPositiveError,
     TraceNotOneError,
 )
-from gmqd.linalg import hermitian_eigenvalues
 from gmqd.states import (
     DensityMatrix,
     TwoParamState,
@@ -94,7 +93,7 @@ class TestInitialState:
 
     def test_spectrum_is_parameter_multiset(self):
         params = TwoParamState(a=0.15, b=0.2, c=0.1)
-        eigs = hermitian_eigenvalues(initial_state(params).mat)
+        eigs = np.linalg.eigvalsh(initial_state(params).mat)
         assert np.allclose(sorted(eigs), sorted([0.15, 0.15, 0.2, 0.2, 0.2, 0.1]), atol=1e-12)
 
     def test_affine_in_parameters(self):
