@@ -157,7 +157,6 @@ def cmd_compute(args) -> int:
         "argmax_degenerate": numeric.degenerate,
         "clamped": numeric.clamped,
         "abs_err": abs(numeric.value - closed),
-        "seed": args.seed,
     }
     if args.with_oracle:
         doc["d_oracle"] = gmqd_oracle(evolved, restarts=args.oracle_restarts).value
@@ -262,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle-restarts", type=int, default=ORACLE_DEFAULT_RESTARTS,
         help="best grid cells the oracle's pattern search refines",
     )
-    compute.add_argument("--seed", type=int, default=0)
     compute.add_argument("--format", choices=("json",), default="json")
     compute.add_argument("--output", default=None, help="output path (default: stdout)")
     compute.set_defaults(func=cmd_compute)

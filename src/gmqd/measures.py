@@ -83,28 +83,19 @@ class GmqdResult:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class HermitianBasis:
-    """Orthonormal Hermitian operator bases for the qubit and qutrit factors."""
-
-    qubit_ops: tuple[np.ndarray, ...]
-    qutrit_ops: tuple[np.ndarray, ...]
-
-
 @lru_cache(maxsize=1)
-def standard_basis() -> HermitianBasis:
+def standard_basis() -> tuple[np.ndarray, np.ndarray]:
     """The normalised identity+Pauli qubit basis and its nine-element qutrit analogue.
 
-    Qubit operators carry 1/sqrt(2); qutrit operators carry 1/sqrt(2) on the
-    three off-diagonal pairs, 1/sqrt(3) on the identity and 1/sqrt(6) on
+    Returned as read-only (4, 2, 2) and (9, 3, 3) stacks.  Qubit operators
+    carry 1/sqrt(2); qutrit operators carry 1/sqrt(2) on the three
+    off-diagonal pairs, 1/sqrt(3) on the identity and 1/sqrt(6) on
     diag(1, 1, -2), making every pairwise Hilbert-Schmidt product a Kronecker
     delta.
     """
-    qubit_ops = tuple(
-        op / SQRT2 for op in (np.eye(2, dtype=complex),) + PAULI
-    )
+    qubit_ops = np.stack((np.eye(2, dtype=complex),) + PAULI) / SQRT2
     s = 1.0 / SQRT2
-    qutrit_ops = (
+    qutrit_ops = np.stack([
         np.eye(3, dtype=complex) / SQRT3,
         s * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
         s * np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex),
@@ -114,19 +105,17 @@ def standard_basis() -> HermitianBasis:
         np.diag([1.0, 1.0, -2.0]).astype(complex) / SQRT6,
         s * np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
         s * np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex),
-    )
-    for op in qubit_ops + qutrit_ops:
-        op.setflags(write=False)
-    return HermitianBasis(qubit_ops=qubit_ops, qutrit_ops=qutrit_ops)
+    ])
+    qubit_ops.setflags(write=False)
+    qutrit_ops.setflags(write=False)
+    return qubit_ops, qutrit_ops
 
 
 @lru_cache(maxsize=1)
 def _product_basis() -> np.ndarray:
     """All 36 products X_i (x) Y_j as a (36, 6, 6) array, i-major."""
-    basis = standard_basis()
-    mats = np.stack(
-        [np.kron(x, y) for x in basis.qubit_ops for y in basis.qutrit_ops]
-    )
+    qubit_ops, qutrit_ops = standard_basis()
+    mats = np.stack([np.kron(x, y) for x in qubit_ops for y in qutrit_ops])
     mats.setflags(write=False)
     return mats
 

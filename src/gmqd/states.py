@@ -12,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    GmqdError,
     InvalidParametersError,
     NonSquareError,
     NotHermitianError,
     NotPositiveError,
     TraceNotOneError,
 )
-from .linalg import as_matrix
 
 PARAM_TOL = 1e-12
 HERMITIAN_TOL = 1e-9
@@ -33,6 +33,16 @@ BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 def flat_index(qubit_level: int, qutrit_level: int) -> int:
     """Flat composite index of |i>_qubit |j>_qutrit."""
     return 3 * qubit_level + qutrit_level
+
+
+def as_matrix(values) -> np.ndarray:
+    """Coerce to a nonempty 2-D complex array, rejecting NaN/Inf entries."""
+    mat = np.asarray(values, dtype=complex)
+    if mat.ndim != 2 or mat.size == 0:
+        raise GmqdError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
+    if not np.isfinite(mat.real).all() or not np.isfinite(mat.imag).all():
+        raise GmqdError("matrix entries must be finite")
+    return mat
 
 
 def bell_state(kind: str) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gmqd.errors import (
+    GmqdError,
     InvalidParametersError,
     NonSquareError,
     NotHermitianError,
@@ -15,6 +16,7 @@ from gmqd.errors import (
 from gmqd.states import (
     DensityMatrix,
     TwoParamState,
+    as_matrix,
     bell_state,
     flat_index,
     initial_state,
@@ -146,6 +148,15 @@ class TestValidateDensity:
         rho = validate_density(np.eye(6) / 6)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_nonfinite_rejected(self, bad):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[0, 1] = bad
+        with pytest.raises(GmqdError, match="finite"):
+            as_matrix(mat)
+        with pytest.raises(GmqdError, match="finite"):
+            validate_density(mat)
 
 
 class TestWernerAndRandom:
