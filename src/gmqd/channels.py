@@ -70,12 +70,7 @@ class Locality(Enum):
     QUTRIT_ONLY = "qutrit-only"
 
 
-class Subsystem(Enum):
-    QUBIT = "qubit"
-    QUTRIT = "qutrit"
-
-
-def _check_gamma(gamma: float, name: str = "gamma") -> None:
+def _check_gamma(gamma: float, name: str) -> None:
     if not 0.0 <= gamma <= 1.0:
         raise OutOfRangeError(f"{name} must lie in [0, 1], got {gamma!r}")
 
@@ -90,13 +85,10 @@ class KrausSet:
     |sum_k K_k^dag K_k - I6|.
     """
 
-    subsystem: Subsystem
     ops: np.ndarray
-    gamma: float
     completeness_error: float = field(init=False)
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
         ops = np.array(self.ops, dtype=complex)
         if ops.ndim != 3 or len(ops) == 0:
             raise InvalidParametersError("Kraus set must be a nonempty sequence of matrices")
@@ -132,16 +124,21 @@ class NoiseScenario:
             raise InvalidParametersError("qutrit-only noise requires gamma_a = 0")
 
 
+def check_decay_rate(rate: float) -> None:
+    """Reject a decay rate that is not finite or is negative."""
+    if not math.isfinite(rate):
+        raise InvalidParametersError(f"decay rate must be finite, got {rate!r}")
+    if rate < 0.0:
+        raise NegativeInputError(f"decay rate must be nonnegative, got {rate!r}")
+
+
 def gamma_of_t(t: float, decay_rate: float) -> float:
     """Time-dependent channel strength 1 - exp(-t * rate), clamped to [0, 1]."""
-    if not (math.isfinite(t) and math.isfinite(decay_rate)):
-        raise InvalidParametersError(
-            f"time and decay rate must be finite, got t={t!r}, rate={decay_rate!r}"
-        )
+    if not math.isfinite(t):
+        raise InvalidParametersError(f"time must be finite, got {t!r}")
     if t < 0.0:
         raise NegativeInputError(f"time must be nonnegative, got {t!r}")
-    if decay_rate < 0.0:
-        raise NegativeInputError(f"decay rate must be nonnegative, got {decay_rate!r}")
+    check_decay_rate(decay_rate)
     return float(min(1.0, max(0.0, -np.expm1(-t * decay_rate))))
 
 
@@ -151,15 +148,6 @@ def gamma_of_t(t: float, decay_rate: float) -> float:
 # channel kind costs about the same per point.  Unitary mixtures use their
 # unitaries as terms and a diagonal of weights; dephasing uses the level
 # projectors.
-
-def _embedded(ops, subsystem: Subsystem) -> np.ndarray:
-    if subsystem is Subsystem.QUBIT:
-        stack = np.stack([np.kron(op, _I3) for op in ops])
-    else:
-        stack = np.stack([np.kron(_I2, op) for op in ops])
-    stack.setflags(write=False)
-    return stack
-
 
 def _projectors(dim: int) -> list[np.ndarray]:
     return [np.diag(np.eye(dim)[k]).astype(complex) for k in range(dim)]
@@ -195,8 +183,10 @@ def _qutrit_units(kind: ChannelKind) -> list[np.ndarray]:
     return [_I3, y, z, y @ y, y @ z, y @ y @ z, y @ z @ z, y @ y @ z @ z, z @ z]
 
 
-_QUBIT_TERMS = {kind: _embedded(_qubit_units(kind), Subsystem.QUBIT) for kind in ChannelKind}
-_QUTRIT_TERMS = {kind: _embedded(_qutrit_units(kind), Subsystem.QUTRIT) for kind in ChannelKind}
+_QUBIT_TERMS = {kind: np.stack([np.kron(op, _I3) for op in _qubit_units(kind)]) for kind in ChannelKind}
+_QUTRIT_TERMS = {kind: np.stack([np.kron(_I2, op) for op in _qutrit_units(kind)]) for kind in ChannelKind}
+for _terms in (*_QUBIT_TERMS.values(), *_QUTRIT_TERMS.values()):
+    _terms.setflags(write=False)
 
 
 def _qubit_coeffs(kind: ChannelKind, g: float) -> np.ndarray:
@@ -227,14 +217,14 @@ def qubit_kraus(kind: ChannelKind, gamma_a: float) -> KrausSet:
     """Kraus set acting on the qubit, embedded as op (x) I3."""
     _check_gamma(gamma_a, "gamma_a")
     ops = _combine(_qubit_coeffs(kind, gamma_a), _QUBIT_TERMS[kind])
-    return KrausSet(subsystem=Subsystem.QUBIT, ops=ops, gamma=gamma_a)
+    return KrausSet(ops)
 
 
 def qutrit_kraus(kind: ChannelKind, gamma_b: float) -> KrausSet:
     """Kraus set acting on the qutrit, embedded as I2 (x) op."""
     _check_gamma(gamma_b, "gamma_b")
     ops = _combine(_qutrit_coeffs(kind, gamma_b), _QUTRIT_TERMS[kind])
-    return KrausSet(subsystem=Subsystem.QUTRIT, ops=ops, gamma=gamma_b)
+    return KrausSet(ops)
 
 
 def _apply_ops(mat: np.ndarray, ops: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from .channels import (
     Locality,
     NoiseScenario,
     apply_scenario,
+    check_decay_rate,
     gamma_of_t,
     qubit_kraus,
     qutrit_kraus,
@@ -34,7 +35,13 @@ from .dynamics import (
     time_grid,
 )
 from .errors import GmqdError
-from .measures import ORACLE_DEFAULT_RESTARTS, gmqd_closed_form, gmqd_numeric, gmqd_oracle
+from .measures import (
+    ORACLE_DEFAULT_RESTARTS,
+    check_oracle_restarts,
+    gmqd_closed_form,
+    gmqd_numeric,
+    gmqd_oracle,
+)
 from .output import sweep_csv_text, sweep_json_doc
 from .states import TwoParamState, initial_state
 from .verify import run_verification
@@ -116,6 +123,9 @@ def _state_params(args) -> TwoParamState:
 def _compute_scenario(args) -> NoiseScenario:
     kind = ChannelKind(args.channel)
     locality = Locality(args.locality)
+    # both rates are checked, also where --time or the locality leaves one unused
+    check_decay_rate(args.rate_a)
+    check_decay_rate(args.rate_b)
     if args.time is not None:
         if args.gamma_a is not None or args.gamma_b is not None:
             raise GmqdError("give either --time or explicit --gamma-a/--gamma-b, not both")
@@ -139,6 +149,7 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_compute(args) -> int:
     params = _state_params(args)
     scenario = _compute_scenario(args)
+    check_oracle_restarts(args.oracle_restarts)  # also without --with-oracle
     evolved = apply_scenario(initial_state(params), scenario)
     numeric = gmqd_numeric(evolved)
     closed = gmqd_closed_form(scenario, params.b, params.c)
@@ -175,7 +186,8 @@ def cmd_sweep(args) -> int:
             if coupling is Coupling.INDEPENDENT and axis is SweepAxis.GAMMA
             else DEFAULT_GAMMA_POINTS
         )
-    grid = gamma_grid(points) if axis is SweepAxis.GAMMA else time_grid(points, args.t_max)
+    times = time_grid(points, args.t_max)  # built on both axes so that --t-max is always checked
+    grid = gamma_grid(points) if axis is SweepAxis.GAMMA else times
     spec = SweepSpec(
         scenario=NoiseScenario(ChannelKind(args.channel), Locality(args.locality)),
         b=params.b,

@@ -9,7 +9,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channels import Locality, NoiseScenario, apply_scenario, gamma_of_t
+from .channels import Locality, NoiseScenario, apply_scenario, check_decay_rate, gamma_of_t
 from .errors import InvalidParametersError
 from .measures import gmqd_closed_form, gmqd_numeric
 from .states import TwoParamState, initial_state
@@ -49,8 +49,8 @@ def time_grid(
 ) -> tuple[float, ...]:
     """Uniform grid of times over [0, t_max]."""
     _check_points(points)
-    if not math.isfinite(t_max):
-        raise InvalidParametersError(f"t_max must be finite, got {t_max!r}")
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise InvalidParametersError(f"t_max must be finite and nonnegative, got {t_max!r}")
     return tuple(float(x) for x in np.linspace(0.0, t_max, points))
 
 
@@ -79,17 +79,17 @@ class SweepSpec:
         grid = tuple(float(x) for x in self.grid)
         if not grid:
             raise InvalidParametersError("sweep grid is empty")
-        if not all(math.isfinite(x) for x in grid + (self.rate_a, self.rate_b)):
-            raise InvalidParametersError("sweep grid and decay rates must be finite")
+        if not all(math.isfinite(x) for x in grid):
+            raise InvalidParametersError("sweep grid must be finite")
+        # rates are checked on both axes, although only time sweeps use them
+        check_decay_rate(self.rate_a)
+        check_decay_rate(self.rate_b)
         if any(hi <= lo for lo, hi in zip(grid, grid[1:])):
             raise InvalidParametersError("sweep grid must be strictly increasing")
         if self.axis is SweepAxis.GAMMA and (grid[0] < 0.0 or grid[-1] > 1.0):
             raise InvalidParametersError("gamma grid must lie in [0, 1]")
-        if self.axis is SweepAxis.TIME:
-            if grid[0] < 0.0:
-                raise InvalidParametersError("time grid must be nonnegative")
-            if self.rate_a < 0.0 or self.rate_b < 0.0:
-                raise InvalidParametersError("decay rates must be nonnegative")
+        if self.axis is SweepAxis.TIME and grid[0] < 0.0:
+            raise InvalidParametersError("time grid must be nonnegative")
         if (
             self.coupling is Coupling.INDEPENDENT
             and self.axis is SweepAxis.GAMMA

@@ -35,7 +35,3 @@ class NegativeInputError(GmqdError):
 
 class OutOfRangeError(GmqdError):
     """A bounded parameter (e.g. a channel strength) is outside its range."""
-
-
-class UnsupportedScenarioError(GmqdError):
-    """No formula is tabulated for the requested channel/locality pair."""

@@ -11,8 +11,8 @@ test and verification suites:
   tr(G_sub) - lambda_max(G_sub) and the optimal basis is the top eigenvector
   (Luo & Fu, PRA 82, 034302 (2010); Vinjanampathy & Rau, J. Phys. A 45,
   095303 (2012)).
-* :func:`gmqd_closed_form` evaluates the per-scenario closed-form expression
-  for the evolved two-parameter state family.
+* :func:`gmqd_closed_form` evaluates the closed-form discord of the evolved
+  two-parameter state family, a product of one decay factor per side.
 * :func:`gmqd_oracle` minimises ||rho - pinched(rho)||^2 over the qubit basis,
   where pinched(rho) = sum_k (P_k (x) I3) rho (P_k (x) I3) is the nearest
   classical-quantum state for a fixed basis.  It works on the density matrix
@@ -30,13 +30,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import PAULI, ChannelKind, Locality, NoiseScenario
+from .channels import PAULI, ChannelKind, NoiseScenario
 from .errors import (
     DimensionMismatchError,
     GmqdError,
     NotHermitianError,
     OutOfRangeError,
-    UnsupportedScenarioError,
 )
 from .states import DensityMatrix, TwoParamState
 
@@ -202,40 +201,35 @@ def gmqd_numeric(rho: DensityMatrix) -> GmqdResult:
     )
 
 
+def _qubit_decay(kind: ChannelKind, g: float) -> float:
+    """Factor A_k(g) by which qubit noise of strength g scales the noiseless discord."""
+    if kind is ChannelKind.DEPHASING:
+        return 1.0 - g
+    return (1.0 - g) ** 2
+
+
+def _qutrit_decay(kind: ChannelKind, g: float) -> float:
+    """Factor B_k(g) by which qutrit noise of strength g scales the noiseless discord."""
+    if kind is ChannelKind.DEPHASING:
+        return 1.0 - g
+    if kind is ChannelKind.BIT_FLIP:
+        return (6.0 + 5.0 * (g - 2.0) * g) / 6.0
+    if kind is ChannelKind.BIT_PHASE_FLIP:
+        return (12.0 + g * (9.0 * g - 20.0)) / 12.0
+    return (1.0 - g) ** 2
+
+
 def gmqd_closed_form(scenario: NoiseScenario, b: float, c: float) -> float:
     """Closed-form discord of the family state evolved through the scenario.
 
-    Dispatches on (channel kind, locality); every combination of the five
-    kinds and three localities is covered.  Zero strengths reduce every branch
-    to the noiseless value (b - c)^2 / 2.
+    Every scenario factorises as (b - c)^2 / 2 * A_k(gamma_a) * B_k(gamma_b).
+    Local-only scenarios need no branch of their own: the scenario pins the
+    untouched side's strength to zero, where both factors are 1.
     """
     TwoParamState.from_bc(b, c)  # reject unphysical parameters early
-    diff2 = (b - c) ** 2
-    ga, gb = scenario.gamma_a, scenario.gamma_b
-    kind, locality = scenario.kind, scenario.locality
-    if locality is Locality.MULTI_LOCAL:
-        if kind is ChannelKind.DEPHASING:
-            return 0.5 * diff2 * (1.0 - ga) * (1.0 - gb)
-        if kind in (ChannelKind.PHASE_FLIP, ChannelKind.DEPOLARIZING):
-            return 0.5 * diff2 * (1.0 - ga) ** 2 * (1.0 - gb) ** 2
-        if kind is ChannelKind.BIT_FLIP:
-            return diff2 * (1.0 - ga) ** 2 * (6.0 + 5.0 * (gb - 2.0) * gb) / 12.0
-        if kind is ChannelKind.BIT_PHASE_FLIP:
-            return diff2 * (1.0 - ga) ** 2 * (12.0 + gb * (9.0 * gb - 20.0)) / 24.0
-    elif locality is Locality.QUBIT_ONLY:
-        if kind is ChannelKind.DEPHASING:
-            return 0.5 * diff2 * (1.0 - ga)
-        return 0.5 * diff2 * (1.0 - ga) ** 2
-    elif locality is Locality.QUTRIT_ONLY:
-        if kind is ChannelKind.DEPHASING:
-            return 0.5 * diff2 * (1.0 - gb)
-        if kind in (ChannelKind.PHASE_FLIP, ChannelKind.DEPOLARIZING):
-            return 0.5 * diff2 * (1.0 - gb) ** 2
-        if kind is ChannelKind.BIT_FLIP:
-            return diff2 * (6.0 + 5.0 * (gb - 2.0) * gb) / 12.0
-        if kind is ChannelKind.BIT_PHASE_FLIP:
-            return diff2 * (12.0 + gb * (9.0 * gb - 20.0)) / 24.0
-    raise UnsupportedScenarioError(f"no closed form for {kind} with {locality}")
+    kind = scenario.kind
+    qubit, qutrit = _qubit_decay(kind, scenario.gamma_a), _qutrit_decay(kind, scenario.gamma_b)
+    return 0.5 * (b - c) ** 2 * qubit * qutrit
 
 
 def closed_form_coefficients(scenario: NoiseScenario, b: float, c: float) -> np.ndarray:
@@ -276,11 +270,9 @@ def closed_form_coefficients(scenario: NoiseScenario, b: float, c: float) -> np.
         out[2, 5] = diff * gb / 12.0
         out[2, 8] = -out[2, 5]
         out[3, 3] = 0.5 * diff * (gb - 1.0) * (ga - 1.0)
-    elif kind is ChannelKind.DEPOLARIZING:
+    else:  # depolarizing
         out[0, 6] = pop * (gb - 1.0) / (2.0 * SQRT3)
         out[1, 1] = out[2, 2] = out[3, 3] = 0.5 * diff * (1.0 - ga) * (1.0 - gb)
-    else:
-        raise UnsupportedScenarioError(f"no coefficient table for {kind}")
     return out
 
 
@@ -304,6 +296,12 @@ def _pinching_distance(rho_mat: np.ndarray, theta: np.ndarray, phi: np.ndarray) 
     return np.sum(np.abs(diff) ** 2, axis=(-2, -1))
 
 
+def check_oracle_restarts(restarts: int) -> None:
+    """Reject an oracle restart count below one."""
+    if restarts < 1:
+        raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
+
+
 _PATTERN = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
@@ -320,8 +318,7 @@ def gmqd_oracle(rho: DensityMatrix, restarts: int = ORACLE_DEFAULT_RESTARTS) -> 
     """
     if rho.dim != 6:
         raise DimensionMismatchError(f"oracle needs a 6x6 state, got {rho.dim}")
-    if restarts < 1:
-        raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
+    check_oracle_restarts(restarts)
     mat = np.asarray(rho.mat)
 
     thetas, phis = np.meshgrid(

@@ -10,7 +10,6 @@ from gmqd.channels import (
     KrausSet,
     Locality,
     NoiseScenario,
-    Subsystem,
     apply_scenario,
     gamma_of_t,
     qubit_kraus,
@@ -82,10 +81,6 @@ class TestKrausSets:
                 assert deviation <= 1e-12
                 assert kraus.completeness_error == pytest.approx(deviation, abs=1e-15)
 
-    def test_subsystem_labels(self):
-        assert qubit_kraus(ChannelKind.DEPHASING, 0.2).subsystem is Subsystem.QUBIT
-        assert qutrit_kraus(ChannelKind.DEPHASING, 0.2).subsystem is Subsystem.QUTRIT
-
     def test_dephasing_at_zero_is_identity_channel(self):
         ops = qubit_kraus(ChannelKind.DEPHASING, 0.0).ops
         assert np.allclose(ops[0], np.eye(6))
@@ -120,7 +115,7 @@ class TestKrausSets:
 
     def test_accepts_a_list_of_operators(self):
         ops = [np.sqrt(0.25) * np.eye(6), np.sqrt(0.75) * np.eye(6)]
-        kraus = KrausSet(subsystem=Subsystem.QUBIT, ops=ops, gamma=0.5)
+        kraus = KrausSet(ops)
         assert kraus.ops.shape == (2, 6, 6)
         ops[0][0, 0] = 9.0  # the set keeps its own copy
         assert kraus.ops[0, 0, 0] == 0.5
@@ -133,7 +128,7 @@ class TestKrausSets:
     ], ids=["empty", "not-6x6", "non-finite", "incomplete"])
     def test_rejects_bad_operator_lists(self, ops, error):
         with pytest.raises(error):
-            KrausSet(subsystem=Subsystem.QUBIT, ops=ops, gamma=0.5)
+            KrausSet(ops)
 
     def test_gamma_out_of_range(self):
         with pytest.raises(OutOfRangeError):

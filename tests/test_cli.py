@@ -17,6 +17,21 @@ from gmqd.cli import main
 from gmqd.output import CSV_HEADER
 
 NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+NEGATIVE = st.floats(max_value=-1e-12)
+RATES = ("--rate-a", "--rate-b")
+
+OUT_OF_DOMAIN_COMPUTE = st.one_of(
+    st.tuples(
+        st.sampled_from(("--b", "--c", "--a", "--gamma-a", "--gamma-b", "--time", *RATES)),
+        NON_FINITE.map(repr),
+    ),
+    st.tuples(st.sampled_from(RATES), NEGATIVE.map(repr)),
+    st.tuples(st.just("--oracle-restarts"), st.integers(max_value=0).map(str)),
+)
+OUT_OF_DOMAIN_SWEEP = st.one_of(
+    st.tuples(st.sampled_from(("--b", "--c", "--t-max", *RATES)), NON_FINITE.map(repr)),
+    st.tuples(st.sampled_from(("--t-max", *RATES)), NEGATIVE.map(repr)),
+)
 
 
 def run_cli(capsys, *argv):
@@ -106,17 +121,14 @@ class TestCompute:
         assert json.loads(out)["argmax_degenerate"] is False
 
     @settings(deadline=None)
-    @given(
-        bad=NON_FINITE,
-        flag=st.sampled_from(
-            ("--b", "--c", "--a", "--gamma-a", "--gamma-b", "--time", "--rate-a", "--rate-b")
-        ),
-    )
-    def test_non_finite_input_exits_2(self, bad, flag):
+    @given(bad=OUT_OF_DOMAIN_COMPUTE, timed=st.booleans())
+    def test_out_of_domain_input_exits_2(self, bad, timed):
+        # untimed, no rate is used; timed, --rate-b acts on the inactive side
+        flag, value = bad
         values = {"--b": "0.2", "--c": "0.1"}
-        if flag in ("--rate-a", "--rate-b"):
-            values["--time"] = "1.0"
-        values[flag] = repr(bad)
+        if timed and flag not in ("--gamma-a", "--gamma-b"):
+            values.update({"--locality": "qubit-only", "--time": "1.0"})
+        values[flag] = value
         code, out, err = run_cli_redirected("compute", *(f"{k}={v}" for k, v in values.items()))
         assert code == 2
         assert out == ""
@@ -219,10 +231,12 @@ class TestSweep:
         assert "at least one point" in err
 
     @settings(deadline=None)
-    @given(bad=NON_FINITE, flag=st.sampled_from(("--b", "--c", "--t-max", "--rate-a", "--rate-b")))
-    def test_non_finite_input_exits_2(self, bad, flag):
-        values = {"--b": "0.2", "--c": "0.1", "--axis": "time", "--points": "3"}
-        values[flag] = repr(bad)
+    @given(bad=OUT_OF_DOMAIN_SWEEP, axis=st.sampled_from(("gamma", "time")))
+    def test_out_of_domain_input_exits_2(self, bad, axis):
+        # on the gamma axis --t-max and the rates are unused, and still checked
+        flag, value = bad
+        values = {"--b": "0.2", "--c": "0.1", "--axis": axis, "--points": "3"}
+        values[flag] = value
         code, out, err = run_cli_redirected("sweep", *(f"{k}={v}" for k, v in values.items()))
         assert code == 2
         assert out == ""

@@ -17,7 +17,7 @@ from gmqd.dynamics import (
     run_sweep,
     time_grid,
 )
-from gmqd.errors import InvalidParametersError
+from gmqd.errors import InvalidParametersError, NegativeInputError
 from gmqd.measures import gmqd_closed_form
 
 NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
@@ -63,6 +63,12 @@ class TestSweepSpecValidation:
         with pytest.raises(InvalidParametersError, match="finite"):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, grid, axis=axis, **kwargs)
 
+    @pytest.mark.parametrize("axis", tuple(SweepAxis), ids=lambda a: a.value)
+    @pytest.mark.parametrize("where", ["rate_a", "rate_b"])
+    def test_negative_rate_on_either_axis(self, axis, where):
+        with pytest.raises(NegativeInputError, match="decay rate must be nonnegative"):
+            spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (0.0, 0.5), axis=axis, **{where: -1.0})
+
     @pytest.mark.parametrize("points", [0, -1])
     def test_grids_need_a_point(self, points):
         with pytest.raises(InvalidParametersError, match="at least one point"):
@@ -74,6 +80,11 @@ class TestSweepSpecValidation:
     def test_non_finite_time_grid_end(self, bad):
         with pytest.raises(InvalidParametersError, match="finite"):
             time_grid(5, bad)
+
+    def test_negative_time_grid_end(self):
+        # one point would give the valid grid (0.0,) and hide the bad end
+        with pytest.raises(InvalidParametersError, match="nonnegative"):
+            time_grid(1, -1.0)
 
     def test_independent_coupling_needs_multilocal(self):
         with pytest.raises(InvalidParametersError):

@@ -1,0 +1,22 @@
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return exit_info.value.code
+
+
+def test_scripts_run_on_small_grids(monkeypatch, capsys, tmp_path):
+    assert run_script(monkeypatch, "reproduce_dynamics.py", "--outdir", str(tmp_path), "--points", "3") == 0
+    # one sweep per (channel, locality) pair plus the dephasing surface
+    assert len(list(tmp_path.glob("*.csv"))) == 16
+    assert run_script(monkeypatch, "cross_method_check.py", "--samples", "2") == 0
+    assert "worst three-way spread" in capsys.readouterr().out
