@@ -13,11 +13,9 @@ from .channels import (
 )
 from .dynamics import (
     Coupling,
-    SuddenDeathCheck,
     SweepAxis,
     SweepRow,
     SweepSpec,
-    check_no_sudden_death,
     gamma_grid,
     run_sweep,
     time_grid,
@@ -57,7 +55,6 @@ __all__ = [
     "Locality",
     "Method",
     "NoiseScenario",
-    "SuddenDeathCheck",
     "SweepAxis",
     "SweepRow",
     "SweepSpec",
@@ -65,7 +62,6 @@ __all__ = [
     "VerificationReport",
     "apply_scenario",
     "bell_state",
-    "check_no_sudden_death",
     "closed_form_coefficients",
     "correlation_matrix",
     "gamma_grid",

@@ -44,7 +44,7 @@ from .measures import (
 )
 from .output import sweep_csv_text, sweep_json_doc
 from .states import TwoParamState, initial_state
-from .verify import run_verification
+from .verify import check_seed, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -177,6 +177,7 @@ def cmd_compute(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = _state_params(args)
+    check_seed(args.seed)  # only a metadata label here, held to verify's rule
     axis = SweepAxis(args.axis)
     coupling = Coupling(args.coupling)
     points = args.points

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -13,9 +13,6 @@ from .channels import Locality, NoiseScenario, apply_scenario, check_decay_rate,
 from .errors import InvalidParametersError
 from .measures import gmqd_closed_form, gmqd_numeric
 from .states import TwoParamState, initial_state
-
-ZERO_TOL = 1e-10
-ENDPOINT_EPS = 1e-9
 
 DEFAULT_GAMMA_POINTS = 101
 DEFAULT_TIME_POINTS = 101
@@ -162,32 +159,3 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             )
         )
     return rows
-
-
-@dataclass(frozen=True)
-class SuddenDeathCheck:
-    """Outcome of scanning a sweep for an interior zero of the numeric discord.
-
-    ``applicable`` is False for degenerate sweeps (b = c) that carry no
-    correlations to lose; those pass vacuously.
-    """
-
-    applicable: bool
-    passed: bool
-    first_violation: Optional[int]
-
-
-def check_no_sudden_death(rows: Sequence[SweepRow]) -> SuddenDeathCheck:
-    """Verify d_numeric stays positive strictly inside the sweep.
-
-    Rows whose largest strength is within 1e-9 of 1 are endpoints and exempt;
-    the discord may legitimately vanish there.
-    """
-    if all(row.d_closed <= ZERO_TOL for row in rows):
-        return SuddenDeathCheck(applicable=False, passed=True, first_violation=None)
-    for idx, row in enumerate(rows):
-        if max(row.gamma_a, row.gamma_b) >= 1.0 - ENDPOINT_EPS:
-            continue
-        if row.d_numeric <= ZERO_TOL:
-            return SuddenDeathCheck(applicable=True, passed=False, first_violation=idx)
-    return SuddenDeathCheck(applicable=True, passed=True, first_violation=None)

@@ -14,8 +14,9 @@ suite finishes in about a second.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +31,7 @@ from .channels import (
     qubit_kraus,
     qutrit_kraus,
 )
-from .dynamics import SweepSpec, check_no_sudden_death, gamma_grid, run_sweep
+from .dynamics import SweepSpec, gamma_grid, run_sweep
 from .errors import GmqdError, InvalidParametersError
 from .measures import (
     closed_form_coefficients,
@@ -51,6 +52,11 @@ TOL_ORACLE_UNDERSHOOT = 1e-6
 TOL_WERNER = 1e-8
 TOL_EQUIVALENCE = 1e-10
 TOL_ASYMPTOTE = 1e-8
+# exact: a sweep row scores 1.0 where the discord vanishes inside the grid, else 0.0
+TOL_SUDDEN_DEATH = 0.0
+
+ZERO_TOL = 1e-10  # numeric discord at or below this counts as vanished
+ENDPOINT_EPS = 1e-9  # rows with a strength this close to 1 are endpoints, exempt
 
 FULL_BC_POINTS = ((0.2, 0.1), (1.0 / 3.0, 0.0), (0.1, 0.35), (0.25, 0.25), (0.05, 0.6))
 QUICK_BC_POINTS = ((0.2, 0.1), (0.1, 0.35))
@@ -59,6 +65,12 @@ QUICK_BC_POINTS = ((0.2, 0.1), (0.1, 0.35))
 # detects a wrong tabulated coefficient.
 FAULT_CHECK_NAME = "coefficient-tables/bit-flip"
 _FAULT_OFFSET = 1e-3
+
+
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, for ``gmqd verify`` and ``gmqd sweep`` alike."""
+    if seed < 0:
+        raise InvalidParametersError(f"seed must be nonnegative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -100,12 +112,15 @@ class VerificationReport:
 
         A raised check's error covers only the evaluations before the raise,
         so it is ranked ahead of every check that merely missed its tolerance.
+        A failed exact check (tolerance 0) lies infinitely far past its bound.
         """
         failures = [c for c in self.checks if not c.passed]
         if not failures:
             return None
         raised = [c for c in failures if c.raised]
-        return raised[0] if raised else max(failures, key=lambda c: c.max_abs_error / c.tolerance)
+        if raised:
+            return raised[0]
+        return max(failures, key=lambda c: c.max_abs_error / c.tolerance if c.tolerance else math.inf)
 
     def lines(self) -> list[str]:
         out = [check.line() for check in self.checks]
@@ -144,11 +159,11 @@ class VerificationReport:
 Evaluations = Iterator[tuple[float, str]]
 
 
-def _tally(name: str, tolerance: float, evaluations: Evaluations, summary: str = "") -> CheckResult:
+def _tally(name: str, tolerance: float, evaluations: Evaluations) -> CheckResult:
     """One check's result from its ``(deviation, location)`` evaluations.
 
     The check passes when the worst deviation is within ``tolerance``;
-    ``detail`` is that worst evaluation's location, else ``summary``.  A
+    ``detail`` is the location of the first evaluation that reached it.  A
     GmqdError raised while the evaluations run fails this check alone, with
     the evaluations completed before it and the message in ``detail``.
     """
@@ -160,7 +175,7 @@ def _tally(name: str, tolerance: float, evaluations: Evaluations, summary: str =
                 worst, where = dev, location
     except GmqdError as exc:
         return CheckResult(name, False, worst, tolerance, points, f"raised: {exc}", raised=True)
-    return CheckResult(name, worst <= tolerance, worst, tolerance, points, where or summary)
+    return CheckResult(name, worst <= tolerance, worst, tolerance, points, where)
 
 
 def _kraus_completeness() -> Evaluations:
@@ -172,11 +187,11 @@ def _kraus_completeness() -> Evaluations:
 
 
 def _basis_orthonormality() -> Evaluations:
-    for ops in standard_basis():
+    for side, ops in zip(("qubit", "qutrit"), standard_basis()):
         flat = ops.reshape(len(ops), -1)
         gram = flat.conj() @ flat.T  # entry (i, j) is tr(ops[i]^dag ops[j])
-        for dev in np.abs(gram - np.eye(len(ops))).ravel():
-            yield float(dev), ""
+        for (i, j), dev in np.ndenumerate(np.abs(gram - np.eye(len(ops)))):
+            yield float(dev), f"worst at {side} ({i},{j})"
 
 
 def _coefficient_table(kind: ChannelKind, quick: bool, inject_fault: bool) -> Evaluations:
@@ -260,57 +275,34 @@ def _werner(quick: bool) -> Evaluations:
         yield dev, f"worst at b={b:.4g}"
 
 
-def _all_scenarios() -> list[NoiseScenario]:
-    return [NoiseScenario(kind, locality) for kind in ChannelKind for locality in Locality]
-
-
-def _check_no_sudden_death(quick: bool) -> CheckResult:
+def _no_sudden_death(quick: bool) -> Evaluations:
     # exemplar (1/3, 0): large enough (b - c)^2 that the quartic multi-local
-    # tails stay above the 1e-10 interior positivity floor at 101 points
-    b, c = 1.0 / 3.0, 0.0
+    # tails stay above ZERO_TOL at 101 points
     grid = gamma_grid(21 if quick else 101)
-    failed_at = []
-
-    def rows() -> Evaluations:
-        # every row is one evaluation; a sweep whose discord vanishes inside
-        # the grid, or that carries none, ends the check as a failure
-        for template in _all_scenarios():
-            sweep = run_sweep(SweepSpec(scenario=template, b=b, c=c, grid=grid))
-            yield from ((0.0, "") for _ in sweep)
-            outcome = check_no_sudden_death(sweep)
-            if not (outcome.applicable and outcome.passed):
-                failed_at.append(f"{template.kind.value}/{template.locality.value} " + (
-                    f"row {outcome.first_violation}" if outcome.applicable else "carries no discord"
-                ))
-                return
-
-    result = _tally(
-        "no-sudden-death", 1.0, rows(),
-        f"all {len(_all_scenarios())} scenarios positive at interior points",
-    )
-    if failed_at:
-        result = replace(result, passed=False, max_abs_error=1.0, detail=failed_at[0])
-    return result
+    for kind in ChannelKind:
+        for locality in Locality:
+            sweep = run_sweep(SweepSpec(scenario=NoiseScenario(kind, locality), b=1.0 / 3.0, c=0.0, grid=grid))
+            for i, row in enumerate(sweep):
+                interior = max(row.gamma_a, row.gamma_b) < 1.0 - ENDPOINT_EPS
+                vanished = interior and row.d_numeric <= ZERO_TOL
+                yield float(vanished), f"worst at {kind.value}/{locality.value} row {i}"
 
 
-def _check_equivalence(locality: Locality, kinds: list[ChannelKind], quick: bool) -> CheckResult:
+def _equivalence(locality: Locality, kinds: list[ChannelKind], quick: bool) -> Evaluations:
     """The kinds' discords coincide at every strength of one local channel.
 
     Each evaluation is one kind's value above the smallest at that strength.
     """
-    def values() -> Evaluations:
-        state = initial_state(TwoParamState.from_bc(0.2, 0.1))
-        for gamma in np.linspace(0.0, 1.0, 5 if quick else 11):
-            ga, gb = (float(gamma), 0.0) if locality is Locality.QUBIT_ONLY else (0.0, float(gamma))
-            found = [
-                gmqd_numeric(apply_scenario(state, NoiseScenario(kind, locality, ga, gb))).value
-                for kind in kinds
-            ]
-            yield from ((value - min(found), "") for value in found)
-
-    names = [kind.value for kind in kinds]
-    summary = f"{', '.join(names[:-1])} and {names[-1]} coincide"
-    return _tally(f"{locality.value}-equivalence", TOL_EQUIVALENCE, values(), summary)
+    state = initial_state(TwoParamState.from_bc(0.2, 0.1))
+    for gamma in np.linspace(0.0, 1.0, 5 if quick else 11):
+        ga, gb = (float(gamma), 0.0) if locality is Locality.QUBIT_ONLY else (0.0, float(gamma))
+        found = [
+            gmqd_numeric(apply_scenario(state, NoiseScenario(kind, locality, ga, gb))).value
+            for kind in kinds
+        ]
+        floor = min(found)
+        for kind, value in zip(kinds, found):
+            yield value - floor, f"worst at {kind.value}, gamma={gamma:.2f}"
 
 
 def _qutrit_endpoints() -> Evaluations:
@@ -320,7 +312,7 @@ def _qutrit_endpoints() -> Evaluations:
     for kind, expected in ((ChannelKind.BIT_FLIP, diff2 / 12.0), (ChannelKind.BIT_PHASE_FLIP, diff2 / 24.0)):
         scenario = NoiseScenario(kind, Locality.QUTRIT_ONLY, gamma_b=1.0)
         numeric = gmqd_numeric(apply_scenario(state, scenario)).value
-        yield abs(numeric - expected), f"worst for {kind.value}"
+        yield abs(numeric - expected), f"worst at {kind.value}"
 
 
 def run_verification(seed: int = 0, quick: bool = False, inject_fault: bool = False) -> VerificationReport:
@@ -332,8 +324,7 @@ def run_verification(seed: int = 0, quick: bool = False, inject_fault: bool = Fa
     nonnegative; a check that raises is reported as failed and the rest
     still run.
     """
-    if seed < 0:
-        raise InvalidParametersError(f"seed must be nonnegative, got {seed}")
+    check_seed(seed)
     checks = [
         _tally("kraus-completeness", COMPLETENESS_TOL, _kraus_completeness()),
         _tally("hermitian-basis-orthonormality", TOL_BASIS, _basis_orthonormality()),
@@ -347,10 +338,14 @@ def run_verification(seed: int = 0, quick: bool = False, inject_fault: bool = Fa
         ),
         _tally("oracle-agreement", TOL_ORACLE, _oracle(seed, quick)),
         _tally("werner-cross-check", TOL_WERNER, _werner(quick)),
-        _check_no_sudden_death(quick),
+        _tally("no-sudden-death", TOL_SUDDEN_DEATH, _no_sudden_death(quick)),
         # on the qubit, every kind but dephasing decays as (1 - gamma)^2
-        _check_equivalence(Locality.QUBIT_ONLY, [k for k in ChannelKind if k is not ChannelKind.DEPHASING], quick),
-        _check_equivalence(Locality.QUTRIT_ONLY, [ChannelKind.PHASE_FLIP, ChannelKind.DEPOLARIZING], quick),
+        _tally("qubit-only-equivalence", TOL_EQUIVALENCE, _equivalence(
+            Locality.QUBIT_ONLY, [k for k in ChannelKind if k is not ChannelKind.DEPHASING], quick,
+        )),
+        _tally("qutrit-only-equivalence", TOL_EQUIVALENCE, _equivalence(
+            Locality.QUTRIT_ONLY, [ChannelKind.PHASE_FLIP, ChannelKind.DEPOLARIZING], quick,
+        )),
         _tally("qutrit-endpoint-positivity", TOL_ASYMPTOTE, _qutrit_endpoints()),
     ]
     return VerificationReport(version=__version__, seed=seed, quick=quick, checks=tuple(checks))

@@ -28,7 +28,7 @@ CLOSED_FORM = {
 }
 TABLES = {f"coefficient-tables/{kind.value}": 3 * GRID for kind in ChannelKind}
 QUALITATIVE = {  # name -> (tolerance, evaluations)
-    "no-sudden-death": (1.0, 15 * 101),  # pass/fail only: no interior zero in 15 sweeps
+    "no-sudden-death": (0.0, 15 * 101),  # exact: no interior zero in 15 sweeps
     "qutrit-endpoint-positivity": (1e-8, 2),
     "qubit-only-equivalence": (1e-10, 11 * 4),
 }

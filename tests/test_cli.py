@@ -230,6 +230,19 @@ class TestSweep:
         assert out == ""
         assert "at least one point" in err
 
+    @pytest.mark.parametrize(
+        "shape", [(), ("--coupling", "independent"), ("--axis", "time"), ("--format", "json")],
+        ids=["gamma-line", "surface", "time-axis", "json"],
+    )
+    def test_negative_seed_exits_2(self, capsys, shape):
+        # the seed only labels sweep output, and is held to verify's rule
+        code, out, err = run_cli(
+            capsys, "sweep", "--b", "0.2", "--c", "0.1", "--points", "2", "--seed", "-1", *shape,
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed must be nonnegative" in err
+
     @settings(deadline=None)
     @given(bad=OUT_OF_DOMAIN_SWEEP, axis=st.sampled_from(("gamma", "time")))
     def test_out_of_domain_input_exits_2(self, bad, axis):

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from gmqd.channels import ChannelKind, Locality, NoiseScenario
 from gmqd.dynamics import (
     Coupling,
-    SuddenDeathCheck,
     SweepAxis,
-    SweepRow,
     SweepSpec,
-    check_no_sudden_death,
     gamma_grid,
     run_sweep,
     time_grid,
@@ -108,6 +105,11 @@ class TestRunSweep:
         assert rows[-1].d_numeric > 0.0
         assert all(row.gamma_a == 0.0 for row in rows)
 
+    def test_qutrit_trit_phase_flip_positive_even_at_endpoint(self):
+        rows = run_sweep(spec_for(ChannelKind.BIT_PHASE_FLIP, Locality.QUTRIT_ONLY, gamma_grid(21)))
+        assert rows[-1].gamma_b == 1.0
+        assert all(row.d_numeric > 1e-10 for row in rows)
+
     def test_degenerate_parameters_give_zero_columns(self):
         spec = SweepSpec(
             scenario=NoiseScenario(ChannelKind.DEPOLARIZING, Locality.MULTI_LOCAL),
@@ -188,34 +190,3 @@ class TestChannelEquivalenceClasses:
         phase = run_sweep(spec_for(ChannelKind.PHASE_FLIP, Locality.QUTRIT_ONLY, (0.5,)))
         assert abs(flip[0].d_numeric - phase[0].d_numeric) > 1e-4
 
-
-class TestSuddenDeathCheck:
-    def test_multilocal_phase_flip_sweep_passes(self):
-        rows = run_sweep(spec_for(ChannelKind.PHASE_FLIP, Locality.MULTI_LOCAL, gamma_grid(21)))
-        outcome = check_no_sudden_death(rows)
-        assert outcome == SuddenDeathCheck(applicable=True, passed=True, first_violation=None)
-
-    def test_qutrit_trit_phase_flip_positive_even_at_endpoint(self):
-        rows = run_sweep(spec_for(ChannelKind.BIT_PHASE_FLIP, Locality.QUTRIT_ONLY, gamma_grid(21)))
-        outcome = check_no_sudden_death(rows)
-        assert outcome.passed
-        assert rows[-1].d_numeric > 1e-10
-
-    def test_degenerate_sweep_not_applicable(self):
-        spec = SweepSpec(
-            scenario=NoiseScenario(ChannelKind.DEPHASING, Locality.MULTI_LOCAL),
-            b=0.2, c=0.2, grid=(0.0, 0.5, 1.0),
-        )
-        outcome = check_no_sudden_death(run_sweep(spec))
-        assert not outcome.applicable
-        assert outcome.passed
-
-    def test_detects_interior_zero(self):
-        rows = [
-            SweepRow(t=None, gamma_a=0.0, gamma_b=0.0, d_numeric=0.005, d_closed=0.005, abs_err=0.0),
-            SweepRow(t=None, gamma_a=0.5, gamma_b=0.5, d_numeric=0.0, d_closed=0.001, abs_err=0.001),
-            SweepRow(t=None, gamma_a=1.0, gamma_b=1.0, d_numeric=0.0, d_closed=0.0, abs_err=0.0),
-        ]
-        outcome = check_no_sudden_death(rows)
-        assert not outcome.passed
-        assert outcome.first_violation == 1

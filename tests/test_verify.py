@@ -93,7 +93,8 @@ def reweighted(kind, squared_weights, at=lambda g: True):
 
 
 @pytest.mark.parametrize("module, attr, breaks, expected, first_detail", [
-    (verify, "standard_basis", scaled_basis_element, {"hermitian-basis-orthonormality"}, ""),
+    (verify, "standard_basis", scaled_basis_element, {"hermitian-basis-orthonormality"},
+     "worst at qutrit (4,4)"),
     # qubit bit-flip with weight 0.4 g on X in place of g / 2
     (channels, "_qubit_coeffs", reweighted(ChannelKind.BIT_FLIP, lambda g: [1.0 - 0.4 * g, 0.4 * g]), {
         "coefficient-tables/bit-flip",
@@ -123,7 +124,7 @@ def reweighted(kind, squared_weights, at=lambda g: True):
      "(oracle fell below the numeric value)"),
     (verify, "gmqd_dakic_two_qubit", lambda f: shift_value(f, 1e-6), {"werner-cross-check"},
      "worst at b=0.05"),
-    (verify, "run_sweep", zero_interior_row, {"no-sudden-death"}, "dephasing/multi-local row 10"),
+    (verify, "run_sweep", zero_interior_row, {"no-sudden-death"}, "worst at dephasing/multi-local row 10"),
     # KrausSet rejects the table, so every check that builds a depolarizing
     # qubit channel raises; each fails alone and the report is still complete
     (channels, "_qubit_coeffs", incomplete_depolarizing, {
@@ -147,6 +148,8 @@ def test_each_guarded_route_fails_its_checks(
     failed = [c for c in checks if not c["passed"]]
     assert {c["name"] for c in failed} == expected
     assert first_detail in failed[0]["detail"]
+    # every failure names where it failed, or what it raised
+    assert all(c["detail"].startswith(("worst at ", "raised: ")) for c in failed)
     assert "error: verification failed" in capsys.readouterr().err
 
 
@@ -170,6 +173,16 @@ def test_a_raised_check_ranks_first():
     assert report.worst_failure() is raised
     assert report.lines()[-1] == "worst offender: raised (err 0.000e+00)"
     assert json.loads(report.to_json())["worst_offender"] == "raised"
+
+
+def test_an_exact_failure_ranks_past_any_finite_miss():
+    # a tolerance-0 check that failed lies infinitely far past its bound
+    missed = verify.CheckResult("missed", False, 1e-6, 1e-8, 10, "worst at b=0.2")
+    exact = verify.CheckResult("exact", False, 1.0, 0.0, 15, "worst at dephasing/multi-local row 10")
+    report = verify.VerificationReport("test", 0, True, (missed, exact))
+    assert report.worst_failure() is exact
+    assert report.lines()[-1] == "worst offender: exact (err 1.000e+00)"
+    assert json.loads(report.to_json())["worst_offender"] == "exact"
 
 
 def test_cli_names_a_raised_check_over_a_larger_miss(monkeypatch, capsys):
