@@ -2,8 +2,9 @@
 """Compare the numeric, closed-form and brute-force oracle discord routes.
 
 Prints one line per sampled (state, scenario) pair.  The oracle is a grid
-plus pattern search over the qubit basis, tens of milliseconds per sample;
-``--restarts`` sets how many of its best grid cells are refined.
+plus pattern search over the qubit basis, about 2-4 ms per sample at 16
+restarts (2 vCPUs, BLAS on one thread); ``--restarts`` sets how many of its
+best grid cells are refined.
 
 Usage:
     python scripts/cross_method_check.py --samples 6 --restarts 16

@@ -69,6 +69,13 @@ class Locality(Enum):
     QUBIT_ONLY = "qubit-only"
     QUTRIT_ONLY = "qutrit-only"
 
+    def pin(self, gamma_a: float, gamma_b: float) -> tuple[float, float]:
+        """The two strengths with the side this locality leaves idle pinned to 0."""
+        return (
+            0.0 if self is Locality.QUTRIT_ONLY else gamma_a,
+            0.0 if self is Locality.QUBIT_ONLY else gamma_b,
+        )
+
 
 def _check_gamma(gamma: float, name: str) -> None:
     if not 0.0 <= gamma <= 1.0:
@@ -118,10 +125,8 @@ class NoiseScenario:
     def __post_init__(self):
         _check_gamma(self.gamma_a, "gamma_a")
         _check_gamma(self.gamma_b, "gamma_b")
-        if self.locality is Locality.QUBIT_ONLY and self.gamma_b != 0.0:
-            raise InvalidParametersError("qubit-only noise requires gamma_b = 0")
-        if self.locality is Locality.QUTRIT_ONLY and self.gamma_a != 0.0:
-            raise InvalidParametersError("qutrit-only noise requires gamma_a = 0")
+        if self.locality.pin(self.gamma_a, self.gamma_b) != (self.gamma_a, self.gamma_b):
+            raise InvalidParametersError(f"{self.locality.value} noise requires its idle side's strength to be 0")
 
 
 def check_decay_rate(rate: float) -> None:

@@ -129,8 +129,7 @@ def _compute_scenario(args) -> NoiseScenario:
     if args.time is not None:
         if args.gamma_a is not None or args.gamma_b is not None:
             raise GmqdError("give either --time or explicit --gamma-a/--gamma-b, not both")
-        ga = gamma_of_t(args.time, args.rate_a) if locality is not Locality.QUTRIT_ONLY else 0.0
-        gb = gamma_of_t(args.time, args.rate_b) if locality is not Locality.QUBIT_ONLY else 0.0
+        ga, gb = locality.pin(gamma_of_t(args.time, args.rate_a), gamma_of_t(args.time, args.rate_b))
     else:
         ga = args.gamma_a if args.gamma_a is not None else 0.0
         gb = args.gamma_b if args.gamma_b is not None else 0.0

@@ -10,7 +10,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .channels import Locality, NoiseScenario, apply_scenario, check_decay_rate, gamma_of_t
-from .errors import InvalidParametersError
+from .errors import InvalidParametersError, check_integer
 from .measures import gmqd_closed_form, gmqd_numeric
 from .states import TwoParamState, initial_state
 
@@ -31,6 +31,7 @@ class Coupling(Enum):
 
 
 def _check_points(points: int) -> None:
+    check_integer(points, "grid point count")
     if points < 1:
         raise InvalidParametersError(f"grid needs at least one point, got {points}")
 
@@ -108,14 +109,6 @@ class SweepRow:
     abs_err: float
 
 
-def _localized(locality: Locality, ga: float, gb: float) -> tuple[float, float]:
-    if locality is Locality.QUBIT_ONLY:
-        return ga, 0.0
-    if locality is Locality.QUTRIT_ONLY:
-        return 0.0, gb
-    return ga, gb
-
-
 def _grid_points(spec: SweepSpec) -> Iterator[tuple[Optional[float], float, float]]:
     locality = spec.scenario.locality
     if spec.axis is SweepAxis.GAMMA:
@@ -125,13 +118,11 @@ def _grid_points(spec: SweepSpec) -> Iterator[tuple[Optional[float], float, floa
                     yield None, ga, gb
         else:
             for g in spec.grid:
-                yield None, *_localized(locality, g, g)
+                yield None, *locality.pin(g, g)
     else:
         rate_b = spec.rate_a if spec.coupling is Coupling.EQUAL else spec.rate_b
         for t in spec.grid:
-            ga = gamma_of_t(t, spec.rate_a)
-            gb = gamma_of_t(t, rate_b)
-            yield t, *_localized(locality, ga, gb)
+            yield t, *locality.pin(gamma_of_t(t, spec.rate_a), gamma_of_t(t, rate_b))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

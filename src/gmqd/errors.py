@@ -1,5 +1,7 @@
 """Exception hierarchy for input validation and domain errors."""
 
+import operator
+
 
 class GmqdError(ValueError):
     """Base class for every validation error raised by this package."""
@@ -35,3 +37,11 @@ class NegativeInputError(GmqdError):
 
 class OutOfRangeError(GmqdError):
     """A bounded parameter (e.g. a channel strength) is outside its range."""
+
+
+def check_integer(value, name: str) -> None:
+    """Reject a count or seed that is not a Python or numpy integer, before any range check."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidParametersError(f"{name} must be an integer, got {value!r}") from None

@@ -15,9 +15,9 @@ test and verification suites:
   two-parameter state family, a product of one decay factor per side.
 * :func:`gmqd_oracle` minimises ||rho - pinched(rho)||^2 over the qubit basis,
   where pinched(rho) = sum_k (P_k (x) I3) rho (P_k (x) I3) is the nearest
-  classical-quantum state for a fixed basis.  It works on the density matrix
-  and the qubit projectors only, sharing no code with the correlation-matrix
-  route: a fixed angle grid, then a pattern search from its best cells.
+  classical-quantum state for a fixed basis.  It reads 2 ||<n_+|rho|n_->||^2
+  off rho's qubit blocks, sharing no code with the correlation-matrix route:
+  a fixed angle grid, then a pattern search from its best cells.
 * :func:`gmqd_dakic_two_qubit` evaluates the spectral two-qubit formula, used
   to cross-check the family's reduction to Werner states.
 """
@@ -36,6 +36,7 @@ from .errors import (
     GmqdError,
     NotHermitianError,
     OutOfRangeError,
+    check_integer,
 )
 from .states import DensityMatrix, TwoParamState
 
@@ -276,28 +277,24 @@ def closed_form_coefficients(scenario: NoiseScenario, b: float, c: float) -> np.
     return out
 
 
-_I3 = np.eye(3)
-
-
 def _pinching_distance(rho_mat: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """||rho - sum_k (P_k (x) I3) rho (P_k (x) I3)||^2 for each (theta, phi) basis.
 
-    P_1, P_2 project onto cos(t)|0> + e^(ip) sin(t)|1> and its orthogonal
-    complement.  ``theta`` and ``phi`` are equal-shape arrays; so is the result.
+    P_+, P_- project onto n_+ = cos(t)|0> + e^(ip) sin(t)|1> and n_- = sin(t)|0> - e^(ip) cos(t)|1>.
+    The distance is 2 ||<n_+|rho|n_->||_F^2, with <n_+|rho|n_-> = sum_ab conj(n_+a) n_-b rho_ab
+    over rho's 3x3 qubit blocks.  ``theta`` and ``phi`` are equal-shape arrays; so is the result.
     """
     cos_t, sin_t, phase = np.cos(theta), np.sin(theta), np.exp(1j * phi)
-    kets = np.stack([
-        np.stack([cos_t, phase * sin_t], axis=-1),
-        np.stack([sin_t, -phase * cos_t], axis=-1),
-    ], axis=-2)  # (..., 2 projectors, 2 amplitudes)
-    qubit = kets[..., :, None] * kets[..., None, :].conj()
-    proj = np.einsum("...ij,ab->...iajb", qubit, _I3).reshape(qubit.shape[:-2] + (6, 6))
-    diff = rho_mat - np.sum(proj @ rho_mat @ proj, axis=-3)
-    return np.sum(np.abs(diff) ** 2, axis=(-2, -1))
+    plus = np.stack([cos_t, phase * sin_t], axis=-1)
+    minus = np.stack([sin_t, -phase * cos_t], axis=-1)
+    weights = (plus.conj()[..., :, None] * minus[..., None, :]).reshape(theta.shape + (4,))
+    blocks = rho_mat.reshape(2, 3, 2, 3).transpose(0, 2, 1, 3).reshape(4, 9)
+    return 2.0 * np.sum(np.abs(weights @ blocks) ** 2, axis=-1)
 
 
 def check_oracle_restarts(restarts: int) -> None:
-    """Reject an oracle restart count below one."""
+    """Reject an oracle restart count that is not an integer or is below one."""
+    check_integer(restarts, "restarts")
     if restarts < 1:
         raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
 
@@ -319,32 +316,29 @@ def gmqd_oracle(rho: DensityMatrix, restarts: int = ORACLE_DEFAULT_RESTARTS) -> 
     if rho.dim != 6:
         raise DimensionMismatchError(f"oracle needs a 6x6 state, got {rho.dim}")
     check_oracle_restarts(restarts)
-    mat = np.asarray(rho.mat)
 
     thetas, phis = np.meshgrid(
         np.linspace(0.0, np.pi / 2.0, ORACLE_THETA_POINTS),
         np.linspace(0.0, 2.0 * np.pi, ORACLE_PHI_POINTS, endpoint=False),
         indexing="ij",
     )
-    grid_vals = _pinching_distance(mat, thetas, phis).ravel()
+    grid_vals = _pinching_distance(rho.mat, thetas, phis).ravel()
     best = np.argsort(grid_vals, kind="stable")[:restarts]
     x = np.stack([thetas.ravel()[best], phis.ravel()[best]], axis=-1)
     fx = grid_vals[best]
     step = np.full(len(x), np.pi / (2.0 * (ORACLE_THETA_POINTS - 1)))
 
     for _ in range(ORACLE_MAX_ITER):
-        active = step > ORACLE_STEP_TOL
-        if not active.any():
+        if not (step > ORACLE_STEP_TOL).any():
             break
-        trial = x[active, None, :] + step[active, None, None] * _PATTERN
-        trial_vals = _pinching_distance(mat, trial[..., 0], trial[..., 1])
+        trial = x[:, None, :] + step[:, None, None] * _PATTERN
+        trial_vals = _pinching_distance(rho.mat, trial[..., 0], trial[..., 1])
         pick = np.argmin(trial_vals, axis=1)
         picked = trial_vals[np.arange(len(pick)), pick]
-        moved = picked < fx[active]
-        idx = np.flatnonzero(active)
-        x[idx[moved]] = trial[moved, pick[moved]]
-        fx[idx[moved]] = picked[moved]
-        step[idx[~moved]] *= 0.5
+        moved = picked < fx
+        x[moved] = trial[moved, pick[moved]]
+        fx[moved] = picked[moved]
+        step[~moved] *= 0.5
 
     winner = int(np.argmin(fx))
     theta, phi = _canonical_angles(float(x[winner, 0]), float(x[winner, 1]))
@@ -352,6 +346,13 @@ def gmqd_oracle(rho: DensityMatrix, restarts: int = ORACLE_DEFAULT_RESTARTS) -> 
         value=max(float(fx[winner]), 0.0), argmax_theta=theta, argmax_phi=phi,
         method=Method.ORACLE,
     )
+
+
+def _pauli_components(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x_i = tr(rho sigma_i (x) I) and r_ij = tr(rho sigma_i (x) sigma_j) of a 4x4 matrix."""
+    blocks, paulis = mat.reshape(2, 2, 2, 2), np.stack(PAULI)  # rho[(a, i), (b, j)] as [a, i, b, j]
+    bloch = np.einsum("aibi,kba->k", blocks, paulis).real
+    return bloch, np.einsum("aibj,kba,lji->kl", blocks, paulis, paulis).real
 
 
 def gmqd_dakic_two_qubit(rho: DensityMatrix) -> GmqdResult:
@@ -364,12 +365,7 @@ def gmqd_dakic_two_qubit(rho: DensityMatrix) -> GmqdResult:
     """
     if rho.dim != 4:
         raise DimensionMismatchError(f"two-qubit formula needs a 4x4 state, got {rho.dim}")
-    mat = rho.mat
-    i2 = np.eye(2, dtype=complex)
-    bloch = np.array([np.trace(mat @ np.kron(s, i2)).real for s in PAULI])
-    corr = np.array(
-        [[np.trace(mat @ np.kron(si, sj)).real for sj in PAULI] for si in PAULI]
-    )
+    bloch, corr = _pauli_components(rho.mat)
     k = np.outer(bloch, bloch) + corr @ corr.T
     evals, evecs = np.linalg.eigh(k)
     raw = 0.25 * (float(bloch @ bloch) + float(np.sum(corr * corr)) - float(evals[-1]))

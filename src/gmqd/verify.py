@@ -32,7 +32,7 @@ from .channels import (
     qutrit_kraus,
 )
 from .dynamics import SweepSpec, gamma_grid, run_sweep
-from .errors import GmqdError, InvalidParametersError
+from .errors import GmqdError, InvalidParametersError, check_integer
 from .measures import (
     closed_form_coefficients,
     correlation_matrix,
@@ -68,7 +68,8 @@ _FAULT_OFFSET = 1e-3
 
 
 def check_seed(seed: int) -> None:
-    """Reject a negative seed, for ``gmqd verify`` and ``gmqd sweep`` alike."""
+    """Reject a non-integer or negative seed, for ``gmqd verify`` and ``gmqd sweep`` alike."""
+    check_integer(seed, "seed")
     if seed < 0:
         raise InvalidParametersError(f"seed must be nonnegative, got {seed}")
 
@@ -254,7 +255,7 @@ def _oracle(seed: int, quick: bool) -> Evaluations:
     # TOL_ORACLE is below TOL_ORACLE_UNDERSHOOT, so an undershoot past its
     # bound fails the check through its deviation alone; the label says why
     rng = np.random.default_rng(seed)
-    for _ in range(3 if quick else 20):
+    for _ in range(3 if quick else 60):
         b, c, scenario = sample_point(rng)
         evolved = apply_scenario(initial_state(TwoParamState.from_bc(b, c)), scenario)
         numeric = gmqd_numeric(evolved).value
@@ -295,11 +296,8 @@ def _equivalence(locality: Locality, kinds: list[ChannelKind], quick: bool) -> E
     """
     state = initial_state(TwoParamState.from_bc(0.2, 0.1))
     for gamma in np.linspace(0.0, 1.0, 5 if quick else 11):
-        ga, gb = (float(gamma), 0.0) if locality is Locality.QUBIT_ONLY else (0.0, float(gamma))
-        found = [
-            gmqd_numeric(apply_scenario(state, NoiseScenario(kind, locality, ga, gb))).value
-            for kind in kinds
-        ]
+        scenarios = [NoiseScenario(kind, locality, *locality.pin(float(gamma), float(gamma))) for kind in kinds]
+        found = [gmqd_numeric(apply_scenario(state, scenario)).value for scenario in scenarios]
         floor = min(found)
         for kind, value in zip(kinds, found):
             yield value - floor, f"worst at {kind.value}, gamma={gamma:.2f}"

@@ -107,7 +107,7 @@ def test_criterion_3_kraus_completeness(checks):
 
 
 def test_criterion_4_oracle_agreement(checks):
-    grid = {"oracle-agreement": 20}
+    grid = {"oracle-agreement": 60}
     found = pinned(checks, grid, 1e-8)
     if TOL_ORACLE_UNDERSHOOT > 1e-6:
         found.append(f"undershoot bound {TOL_ORACLE_UNDERSHOOT:.0e} > 1e-06")

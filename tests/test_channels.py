@@ -139,10 +139,19 @@ class TestKrausSets:
 
 class TestNoiseScenario:
     def test_locality_pins_inactive_gamma(self):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(InvalidParametersError, match="qubit-only noise requires its idle side"):
             NoiseScenario(ChannelKind.DEPHASING, Locality.QUBIT_ONLY, gamma_a=0.3, gamma_b=0.1)
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(InvalidParametersError, match="qutrit-only noise requires its idle side"):
             NoiseScenario(ChannelKind.DEPHASING, Locality.QUTRIT_ONLY, gamma_a=0.1, gamma_b=0.3)
+
+    @pytest.mark.parametrize("locality, pinned", [
+        (Locality.MULTI_LOCAL, (0.3, 0.6)),
+        (Locality.QUBIT_ONLY, (0.3, 0.0)),
+        (Locality.QUTRIT_ONLY, (0.0, 0.6)),
+    ], ids=lambda x: x.value if isinstance(x, Locality) else "")
+    def test_pin_zeroes_the_idle_side(self, locality, pinned):
+        assert locality.pin(0.3, 0.6) == pinned
+        NoiseScenario(ChannelKind.DEPHASING, locality, *pinned)  # accepted as is
 
     def test_gamma_range(self):
         with pytest.raises(OutOfRangeError):

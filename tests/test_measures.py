@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from gmqd import measures
 from gmqd.channels import PAULI, ChannelKind, Locality, NoiseScenario, apply_scenario
 from gmqd.errors import DimensionMismatchError, InvalidParametersError, OutOfRangeError
 from gmqd.measures import (
+    ORACLE_PHI_POINTS,
+    ORACLE_THETA_POINTS,
     Method,
+    _pauli_components,
+    _pinching_distance,
     closed_form_coefficients,
     correlation_matrix,
     gmqd_closed_form,
@@ -42,6 +47,25 @@ def sub_gram(rho):
 def bloch_direction(theta, phi):
     s2 = np.sin(2 * theta)
     return np.array([s2 * np.cos(phi), s2 * np.sin(phi), np.cos(2 * theta)])
+
+
+def kron_components(mat):
+    """Bloch vector tr(rho sigma_i (x) I) and correlations tr(rho sigma_i (x) sigma_j) from kron traces."""
+    bloch = np.array([np.trace(mat @ np.kron(s, np.eye(2))).real for s in PAULI])
+    corr = np.array([[np.trace(mat @ np.kron(si, sj)).real for sj in PAULI] for si in PAULI])
+    return bloch, corr
+
+
+def pinching_by_projectors(mat, theta, phi):
+    """||rho - sum_k (P_k (x) I3) rho (P_k (x) I3)||^2 from explicit 6x6 projectors, one basis at a time."""
+    out = np.empty(np.shape(theta))
+    for idx in np.ndindex(out.shape):
+        t, phase = theta[idx], np.exp(1j * phi[idx])
+        kets = (np.array([np.cos(t), phase * np.sin(t)]), np.array([np.sin(t), -phase * np.cos(t)]))
+        projectors = [np.kron(np.outer(ket, ket.conj()), np.eye(3)) for ket in kets]
+        pinched = sum(p @ mat @ p for p in projectors)
+        out[idx] = np.sum(np.abs(mat - pinched) ** 2)
+    return out
 
 
 def hs_gram(ops):
@@ -253,6 +277,35 @@ class TestClosedFormCoefficients:
 
 
 class TestOracle:
+    def test_block_distance_matches_projector_pinching(self, rng):
+        grid = np.meshgrid(
+            np.linspace(0.0, np.pi / 2.0, ORACLE_THETA_POINTS),
+            np.linspace(0.0, 2.0 * np.pi, ORACLE_PHI_POINTS, endpoint=False),
+            indexing="ij",
+        )
+        for _ in range(20):
+            mat = random_density(6, rng).mat
+            trials = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(2, 8, 4))  # the search's (k, 4) shape
+            for theta, phi in (grid, trials):
+                found = _pinching_distance(mat, theta, phi)
+                assert found.shape == theta.shape
+                assert np.max(np.abs(found - pinching_by_projectors(mat, theta, phi))) <= 1e-14
+
+    def test_independent_of_the_correlation_matrix(self, monkeypatch):
+        rho = apply_scenario(
+            family_state(0.1, 0.35), NoiseScenario(ChannelKind.BIT_FLIP, Locality.MULTI_LOCAL, 0.3, 0.6)
+        )
+        expected = gmqd_numeric(rho).value
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the correlation-matrix route")
+
+        for name in ("correlation_matrix", "standard_basis", "_product_basis"):
+            monkeypatch.setattr(measures, name, forbidden)
+        with pytest.raises(AssertionError):
+            measures.gmqd_numeric(rho)  # the patch bites where the route is used
+        assert gmqd_oracle(rho).value == pytest.approx(expected, abs=1e-12)
+
     def test_maximally_mixed(self):
         result = gmqd_oracle(validate_density(np.eye(6) / 6), restarts=8)
         assert result.value == pytest.approx(0.0, abs=1e-6)
@@ -319,6 +372,13 @@ class TestDakicTwoQubit:
         for z in (-1.0 / 3.0, -0.2, 0.3, 0.8):
             assert gmqd_dakic_two_qubit(werner_state(z)).value == pytest.approx(z * z / 2, abs=1e-12)
 
+    def test_pauli_components_match_kron_traces(self, rng):
+        for _ in range(20):
+            mat = random_density(4, rng).mat
+            for found, expected in zip(_pauli_components(mat), kron_components(mat)):
+                assert found.shape == expected.shape
+                assert np.max(np.abs(found - expected)) <= 1e-14
+
     def test_requires_two_qubit_state(self):
         with pytest.raises(DimensionMismatchError):
             gmqd_dakic_two_qubit(validate_density(np.eye(6) / 6))
@@ -333,8 +393,7 @@ class TestDakicTwoQubit:
     def test_reported_direction_attains_the_top_eigenvalue(self, rng):
         for _ in range(10):
             rho = random_density(4, rng)
-            bloch = np.array([np.trace(rho.mat @ np.kron(s, np.eye(2))).real for s in PAULI])
-            corr = np.array([[np.trace(rho.mat @ np.kron(si, sj)).real for sj in PAULI] for si in PAULI])
+            bloch, corr = kron_components(rho.mat)
             k = np.outer(bloch, bloch) + corr @ corr.T
             result = gmqd_dakic_two_qubit(rho)
             e = bloch_direction(result.argmax_theta, result.argmax_phi)

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from gmqd import channels, cli, verify
+from gmqd import channels, cli, dynamics, measures, verify
 from gmqd.channels import ChannelKind
-from gmqd.errors import InvalidParametersError
+from gmqd.errors import GmqdError, InvalidParametersError
+from gmqd.states import TwoParamState, initial_state
 
 ALL_CHECKS = 21
 CLOSED_FORM_GROUPS = {
@@ -20,6 +21,28 @@ CLOSED_FORM_GROUPS = {
 def test_negative_seed_rejected():
     with pytest.raises(InvalidParametersError, match="seed must be nonnegative"):
         verify.run_verification(seed=-1, quick=True)
+
+
+def _family_state():
+    return initial_state(TwoParamState.from_bc(0.2, 0.1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: measures.gmqd_oracle(_family_state(), restarts=2.5),
+    lambda: measures.gmqd_oracle(_family_state(), restarts=float("nan")),
+    lambda: dynamics.gamma_grid(2.5),
+    lambda: verify.run_verification(seed=1.5),
+    lambda: verify.run_verification(seed=float("nan")),
+], ids=["restarts-2.5", "restarts-nan", "points-2.5", "seed-1.5", "seed-nan"])
+def test_non_integer_counts_are_rejected(call):
+    with pytest.raises(GmqdError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_counts_pass():
+    measures.check_oracle_restarts(np.int32(4))
+    assert len(dynamics.gamma_grid(np.int64(3))) == 3
+    verify.check_seed(np.uint8(2))
 
 
 def test_coefficient_tables_bound_the_c36_c39_pair(monkeypatch):
