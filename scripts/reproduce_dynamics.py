@@ -15,6 +15,7 @@ from pathlib import Path
 from gmqd import __version__
 from gmqd.channels import ChannelKind, Locality, NoiseScenario
 from gmqd.dynamics import (
+    DEFAULT_GAMMA_POINTS,
     DEFAULT_SURFACE_POINTS,
     Coupling,
     SweepSpec,
@@ -29,7 +30,7 @@ def main() -> int:
     parser.add_argument("--outdir", default="results", help="output directory")
     parser.add_argument("--b", type=float, default=1.0 / 3.0)
     parser.add_argument("--c", type=float, default=0.0)
-    parser.add_argument("--points", type=int, default=101)
+    parser.add_argument("--points", type=int, default=DEFAULT_GAMMA_POINTS)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

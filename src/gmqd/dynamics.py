@@ -14,8 +14,7 @@ from .errors import InvalidParametersError, check_integer
 from .measures import gmqd_closed_form, gmqd_numeric
 from .states import TwoParamState, initial_state
 
-DEFAULT_GAMMA_POINTS = 101
-DEFAULT_TIME_POINTS = 101
+DEFAULT_GAMMA_POINTS = 101  # line length on either axis
 DEFAULT_TIME_MAX = 5.0
 DEFAULT_SURFACE_POINTS = 33
 
@@ -43,7 +42,7 @@ def gamma_grid(points: int = DEFAULT_GAMMA_POINTS) -> tuple[float, ...]:
 
 
 def time_grid(
-    points: int = DEFAULT_TIME_POINTS, t_max: float = DEFAULT_TIME_MAX
+    points: int = DEFAULT_GAMMA_POINTS, t_max: float = DEFAULT_TIME_MAX
 ) -> tuple[float, ...]:
     """Uniform grid of times over [0, t_max]."""
     _check_points(points)
@@ -106,7 +105,10 @@ class SweepRow:
     gamma_b: float
     d_numeric: float
     d_closed: float
-    abs_err: float
+
+    @property
+    def abs_err(self) -> float:
+        return abs(self.d_numeric - self.d_closed)
 
 
 def _grid_points(spec: SweepSpec) -> Iterator[tuple[Optional[float], float, float]]:
@@ -136,17 +138,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             gamma_a=ga,
             gamma_b=gb,
         )
-        evolved = apply_scenario(state0, scenario)
-        d_numeric = gmqd_numeric(evolved).value
-        d_closed = gmqd_closed_form(scenario, spec.b, spec.c)
         rows.append(
             SweepRow(
                 t=t,
                 gamma_a=ga,
                 gamma_b=gb,
-                d_numeric=d_numeric,
-                d_closed=d_closed,
-                abs_err=abs(d_numeric - d_closed),
+                d_numeric=gmqd_numeric(apply_scenario(state0, scenario)).value,
+                d_closed=gmqd_closed_form(scenario, spec.b, spec.c),
             )
         )
     return rows

@@ -4,16 +4,26 @@ CSV schema (fixed): ``t,gamma_a,gamma_b,channel,locality,b,c,d_numeric,
 d_closed,abs_err`` with floats rendered at 17 significant digits so doubles
 round-trip losslessly; ``t`` is empty for gamma-axis sweeps.  Every file
 starts with ``#`` metadata comment lines carrying the parameters, seed and
-tool version, and identical inputs produce byte-identical output.
+tool version, and identical inputs produce byte-identical output.  JSON
+carries the same metadata keys and, per row, the same row fields.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Sequence
 
 from .dynamics import SweepRow, SweepSpec
 
-CSV_HEADER = "t,gamma_a,gamma_b,channel,locality,b,c,d_numeric,d_closed,abs_err"
+ROW_FIELDS = ("t", "gamma_a", "gamma_b", "d_numeric", "d_closed", "abs_err")
+# metadata columns that CSV repeats on every row, after gamma_b
+_SPEC_COLUMNS = ("channel", "locality", "b", "c")
+_SPEC_AT = ROW_FIELDS.index("gamma_b") + 1
+CSV_HEADER = ",".join(ROW_FIELDS[:_SPEC_AT] + _SPEC_COLUMNS + ROW_FIELDS[_SPEC_AT:])
+
+# CSV renders these at 17 digits by key, since a library caller may pass ints
+_FLOAT_KEYS = frozenset({"b", "c", "rate_a", "rate_b"})
+_row_values = attrgetter(*ROW_FIELDS)
 
 
 def format_float(x: float) -> str:
@@ -21,52 +31,8 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _metadata_lines(spec: SweepSpec, seed: int, version: str) -> list[str]:
-    scenario = spec.scenario
-    return [
-        f"# gmqd sweep version={version} seed={seed}",
-        "# "
-        + " ".join(
-            [
-                f"channel={scenario.kind.value}",
-                f"locality={scenario.locality.value}",
-                f"b={format_float(spec.b)}",
-                f"c={format_float(spec.c)}",
-                f"axis={spec.axis.value}",
-                f"coupling={spec.coupling.value}",
-                f"points={len(spec.grid)}",
-                f"rate_a={format_float(spec.rate_a)}",
-                f"rate_b={format_float(spec.rate_b)}",
-            ]
-        ),
-    ]
-
-
-def _row_fields(spec: SweepSpec, row: SweepRow) -> list[str]:
-    return [
-        "" if row.t is None else format_float(row.t),
-        format_float(row.gamma_a),
-        format_float(row.gamma_b),
-        spec.scenario.kind.value,
-        spec.scenario.locality.value,
-        format_float(spec.b),
-        format_float(spec.c),
-        format_float(row.d_numeric),
-        format_float(row.d_closed),
-        format_float(row.abs_err),
-    ]
-
-
-def sweep_csv_text(spec: SweepSpec, rows: Sequence[SweepRow], seed: int, version: str) -> str:
-    """Full CSV payload for one sweep, metadata comments included."""
-    lines = _metadata_lines(spec, seed, version)
-    lines.append(CSV_HEADER)
-    lines.extend(",".join(_row_fields(spec, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def sweep_json_doc(spec: SweepSpec, rows: Sequence[SweepRow], seed: int, version: str) -> dict:
-    """The same sweep payload as a JSON-serialisable document."""
+def _metadata(spec: SweepSpec, seed: int, version: str) -> dict:
+    """The sweep's parameters, in the order both formats write them."""
     scenario = spec.scenario
     return {
         "version": version,
@@ -80,15 +46,28 @@ def sweep_json_doc(spec: SweepSpec, rows: Sequence[SweepRow], seed: int, version
         "points": len(spec.grid),
         "rate_a": spec.rate_a,
         "rate_b": spec.rate_b,
-        "rows": [
-            {
-                "t": row.t,
-                "gamma_a": row.gamma_a,
-                "gamma_b": row.gamma_b,
-                "d_numeric": row.d_numeric,
-                "d_closed": row.d_closed,
-                "abs_err": row.abs_err,
-            }
-            for row in rows
-        ],
     }
+
+
+def sweep_csv_text(spec: SweepSpec, rows: Sequence[SweepRow], seed: int, version: str) -> str:
+    """Full CSV payload for one sweep, metadata comments included."""
+    meta = {
+        key: format_float(value) if key in _FLOAT_KEYS else str(value)
+        for key, value in _metadata(spec, seed, version).items()
+    }
+    pairs = [f"{key}={text}" for key, text in meta.items()]
+    # version and seed open the file; the sweep parameters follow on one line
+    lines = ["# gmqd sweep " + " ".join(pairs[:2]), "# " + " ".join(pairs[2:]), CSV_HEADER]
+    spec_cells = ",".join(meta[key] for key in _SPEC_COLUMNS)
+    for row in rows:
+        cells = ["" if value is None else format_float(value) for value in _row_values(row)]
+        cells.insert(_SPEC_AT, spec_cells)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_json_doc(spec: SweepSpec, rows: Sequence[SweepRow], seed: int, version: str) -> dict:
+    """The same sweep payload as a JSON-serialisable document."""
+    doc = _metadata(spec, seed, version)
+    doc["rows"] = [dict(zip(ROW_FIELDS, _row_values(row))) for row in rows]
+    return doc

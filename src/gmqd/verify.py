@@ -9,6 +9,12 @@ it into its result, so a check that raises fails alone.  The full suite
 ``tests/test_acceptance.py`` reads its report and pins each check's
 tolerance and evaluation count.  ``quick=True`` shrinks the grids so the
 suite finishes in about a second.
+
+``closed-form-vs-numeric``, ``no-sudden-death`` and
+``qutrit-endpoint-positivity`` read the rows of
+:func:`gmqd.dynamics.run_sweep`, the path ``gmqd sweep`` runs, so they check
+that path itself.  The coefficient-table, oracle, Werner and equivalence
+checks call the routes directly and stay references independent of it.
 """
 
 from __future__ import annotations
@@ -31,12 +37,11 @@ from .channels import (
     qubit_kraus,
     qutrit_kraus,
 )
-from .dynamics import SweepSpec, gamma_grid, run_sweep
+from .dynamics import Coupling, SweepSpec, gamma_grid, run_sweep
 from .errors import GmqdError, InvalidParametersError, check_integer
 from .measures import (
     closed_form_coefficients,
     correlation_matrix,
-    gmqd_closed_form,
     gmqd_dakic_two_qubit,
     gmqd_numeric,
     gmqd_oracle,
@@ -166,7 +171,9 @@ def _tally(name: str, tolerance: float, evaluations: Evaluations) -> CheckResult
     The check passes when the worst deviation is within ``tolerance``;
     ``detail`` is the location of the first evaluation that reached it.  A
     GmqdError raised while the evaluations run fails this check alone, with
-    the evaluations completed before it and the message in ``detail``.
+    the evaluations completed before it and the message in ``detail``.  A
+    check that scores sweeps counts none of a sweep's rows if that sweep
+    raises, since ``run_sweep`` returns its rows only once all are evaluated.
     """
     worst, where, points = 0.0, "", 0
     try:
@@ -214,25 +221,29 @@ def _coefficient_table(kind: ChannelKind, quick: bool, inject_fault: bool) -> Ev
                 yield dev, f"worst at b={b:.4g}, c={c:.4g}, gammas=({ga:.2f},{gb:.2f})"
 
 
-def _closed_vs_numeric_groups(quick: bool) -> Iterator[tuple[str, list[NoiseScenario]]]:
-    gammas = [float(g) for g in np.linspace(0.0, 1.0, 3 if quick else 11)]
-    yield "no-noise", [NoiseScenario(ChannelKind.DEPHASING, Locality.MULTI_LOCAL)]
-    for kind in ChannelKind:
-        yield f"multi-local/{kind.value}", [
-            NoiseScenario(kind, Locality.MULTI_LOCAL, ga, gb) for ga in gammas for gb in gammas
+def _closed_vs_numeric_groups(quick: bool) -> Iterator[tuple[str, list[SweepSpec]]]:
+    """Each group's sweeps, with (b, c) outermost."""
+    grid = gamma_grid(3 if quick else 11)
+
+    def sweeps(locality, kinds, grid, coupling=Coupling.EQUAL):
+        return [
+            SweepSpec(NoiseScenario(kind, locality), b, c, grid, coupling=coupling)
+            for b, c in (QUICK_BC_POINTS if quick else FULL_BC_POINTS)
+            for kind in kinds
         ]
-    yield "qubit-only", [NoiseScenario(kind, Locality.QUBIT_ONLY, g, 0.0) for kind in ChannelKind for g in gammas]
-    yield "qutrit-only", [NoiseScenario(kind, Locality.QUTRIT_ONLY, 0.0, g) for kind in ChannelKind for g in gammas]
+
+    yield "no-noise", sweeps(Locality.MULTI_LOCAL, [ChannelKind.DEPHASING], (0.0,))
+    for kind in ChannelKind:
+        yield f"multi-local/{kind.value}", sweeps(Locality.MULTI_LOCAL, [kind], grid, Coupling.INDEPENDENT)
+    for locality in (Locality.QUBIT_ONLY, Locality.QUTRIT_ONLY):
+        yield locality.value, sweeps(locality, ChannelKind, grid)
 
 
-def _closed_vs_numeric(scenarios: list[NoiseScenario], quick: bool) -> Evaluations:
-    for b, c in QUICK_BC_POINTS if quick else FULL_BC_POINTS:
-        state = initial_state(TwoParamState.from_bc(b, c))
-        for scenario in scenarios:
-            numeric = gmqd_numeric(apply_scenario(state, scenario)).value
-            yield abs(numeric - gmqd_closed_form(scenario, b, c)), (
-                f"worst at b={b:.4g}, c={c:.4g}, "
-                f"gammas=({scenario.gamma_a:.2f},{scenario.gamma_b:.2f})"
+def _closed_vs_numeric(specs: list[SweepSpec]) -> Evaluations:
+    for spec in specs:
+        for row in run_sweep(spec):
+            yield row.abs_err, (
+                f"worst at b={spec.b:.4g}, c={spec.c:.4g}, gammas=({row.gamma_a:.2f},{row.gamma_b:.2f})"
             )
 
 
@@ -305,12 +316,10 @@ def _equivalence(locality: Locality, kinds: list[ChannelKind], quick: bool) -> E
 
 def _qutrit_endpoints() -> Evaluations:
     b, c = 0.2, 0.1
-    state = initial_state(TwoParamState.from_bc(b, c))
     diff2 = (b - c) ** 2
     for kind, expected in ((ChannelKind.BIT_FLIP, diff2 / 12.0), (ChannelKind.BIT_PHASE_FLIP, diff2 / 24.0)):
-        scenario = NoiseScenario(kind, Locality.QUTRIT_ONLY, gamma_b=1.0)
-        numeric = gmqd_numeric(apply_scenario(state, scenario)).value
-        yield abs(numeric - expected), f"worst at {kind.value}"
+        (row,) = run_sweep(SweepSpec(NoiseScenario(kind, Locality.QUTRIT_ONLY), b, c, grid=(1.0,)))
+        yield abs(row.d_numeric - expected), f"worst at {kind.value}"
 
 
 def run_verification(seed: int = 0, quick: bool = False, inject_fault: bool = False) -> VerificationReport:
@@ -331,8 +340,8 @@ def run_verification(seed: int = 0, quick: bool = False, inject_fault: bool = Fa
             for kind in ChannelKind
         ),
         *(
-            _tally(f"closed-form-vs-numeric/{group}", TOL_CLOSED, _closed_vs_numeric(scenarios, quick))
-            for group, scenarios in _closed_vs_numeric_groups(quick)
+            _tally(f"closed-form-vs-numeric/{group}", TOL_CLOSED, _closed_vs_numeric(specs))
+            for group, specs in _closed_vs_numeric_groups(quick)
         ),
         _tally("oracle-agreement", TOL_ORACLE, _oracle(seed, quick)),
         _tally("werner-cross-check", TOL_WERNER, _werner(quick)),

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -211,6 +212,39 @@ class TestSweep:
         doc = json.loads(out)
         assert len(doc["rows"]) == 3
         assert doc["channel"] == "dephasing"
+
+    def test_csv_and_json_carry_the_same_sweep(self, capsys):
+        args = (
+            "sweep", "--b", "0.2", "--c", "0.1", "--channel", "bit-flip", "--axis", "time",
+            "--coupling", "independent", "--rate-a", "0.7", "--rate-b", "1.9",
+            "--points", "7", "--seed", "6",
+        )
+        _, csv_text, _ = run_cli(capsys, *args)
+        _, json_text, _ = run_cli(capsys, *args, "--format", "json")
+        doc = json.loads(json_text)
+        json_rows = doc.pop("rows")
+
+        comments = [line[2:] for line in csv_text.splitlines() if line.startswith("# ")]
+        pairs = " ".join(comments).removeprefix("gmqd sweep ").split()
+        csv_meta = dict(pair.split("=", 1) for pair in pairs)
+        assert list(csv_meta) == list(doc)
+        for key, value in doc.items():
+            if isinstance(value, str):
+                assert csv_meta[key] == value, key
+            else:
+                assert float(csv_meta[key]) == value, key
+
+        csv_rows = list(csv.DictReader(line for line in csv_text.splitlines() if not line.startswith("#")))
+        assert len(csv_rows) == len(json_rows) == 7
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            for key, value in json_row.items():
+                assert float(csv_row[key]) == value, key
+            for key in ("channel", "locality"):
+                assert csv_row[key] == doc[key]
+            for key in ("b", "c"):
+                assert float(csv_row[key]) == doc[key]
+        # a time-axis row carries t, and the two rates give the sides distinct strengths
+        assert json_rows[1]["t"] > 0.0 and json_rows[1]["gamma_a"] != json_rows[1]["gamma_b"]
 
     def test_independent_surface_rows(self, capsys, tmp_path):
         out_file = tmp_path / "surface.csv"

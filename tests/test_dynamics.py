@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -124,6 +125,8 @@ class TestRunSweep:
         for row in rows:
             assert row.abs_err == abs(row.d_numeric - row.d_closed)
             assert row.abs_err <= 1e-8
+        # derived, so a row rebuilt with another value cannot keep a stale error
+        assert dataclasses.replace(rows[5], d_numeric=0.0).abs_err == rows[5].d_closed
 
     def test_time_axis_rows(self):
         grid = time_grid(points=6, t_max=5.0)

@@ -141,13 +141,21 @@ def reweighted(kind, squared_weights, at=lambda g: True):
         "closed-form-vs-numeric/qutrit-only",
         "qutrit-endpoint-positivity",
     }, "gammas=(0.00,1.00)"),
-    (verify, "gmqd_closed_form", lambda f: shift_value(f, 1e-6), CLOSED_FORM_GROUPS,
+    (dynamics, "gmqd_closed_form", lambda f: shift_value(f, 1e-6), CLOSED_FORM_GROUPS,
      "worst at b="),
+    # the numeric value of the sweep path that gmqd sweep writes; the
+    # equivalence and oracle checks call gmqd_numeric directly and still pass
+    (dynamics, "gmqd_numeric", lambda f: shift_value(f, 1e-6),
+     CLOSED_FORM_GROUPS | {"qutrit-endpoint-positivity"}, "worst at b="),
     (verify, "gmqd_oracle", lambda f: shift_value(f, -1e-5), {"oracle-agreement"},
      "(oracle fell below the numeric value)"),
     (verify, "gmqd_dakic_two_qubit", lambda f: shift_value(f, 1e-6), {"werner-cross-check"},
      "worst at b=0.05"),
-    (verify, "run_sweep", zero_interior_row, {"no-sudden-death"}, "worst at dephasing/multi-local row 10"),
+    # every check that reads run_sweep sees the zeroed row; the one-point
+    # no-noise sweeps are zeroed whole
+    (verify, "run_sweep", zero_interior_row,
+     CLOSED_FORM_GROUPS | {"no-sudden-death", "qutrit-endpoint-positivity"},
+     "worst at b=0.1, c=0.35, gammas=(0.00,0.00)"),
     # KrausSet rejects the table, so every check that builds a depolarizing
     # qubit channel raises; each fails alone and the report is still complete
     (channels, "_qubit_coeffs", incomplete_depolarizing, {
@@ -159,7 +167,7 @@ def reweighted(kind, squared_weights, at=lambda g: True):
         "qubit-only-equivalence",
     }, "raised: Kraus completeness violated by"),
 ], ids=["basis", "qubit-weight", "qutrit-weight", "qutrit-endpoint",
-        "closed-form", "oracle", "dakic", "sweep", "kraus-table"])
+        "closed-form", "sweep-numeric", "oracle", "dakic", "sweep", "kraus-table"])
 def test_each_guarded_route_fails_its_checks(
     monkeypatch, capsys, tmp_path, module, attr, breaks, expected, first_detail
 ):
@@ -186,6 +194,12 @@ def test_a_raising_check_keeps_its_name_tolerance_and_count(monkeypatch):
     # the first four kinds' sets (21 strengths, two sides) and both depolarizing
     # sets at gamma = 0 are complete; the qubit set at gamma = 0.05 raises
     assert completeness.points == 4 * 21 * 2 + 2
+    # a sweep that raises yields none of its rows: at the first (b, c), the
+    # qubit-only group scores the four kinds before depolarizing (3 points
+    # each), and the first multi-local depolarizing surface raises outright
+    checks = {check.name: check for check in report.checks}
+    assert checks["closed-form-vs-numeric/qubit-only"].points == 3 * 4
+    assert checks["closed-form-vs-numeric/multi-local/depolarizing"].points == 0
 
 
 def test_a_raised_check_ranks_first():
@@ -212,7 +226,7 @@ def test_cli_names_a_raised_check_over_a_larger_miss(monkeypatch, capsys):
     # the closed-form groups miss their tolerance 100-fold; kraus-completeness raises
     # after deviations far below its tolerance, and still names the failure
     monkeypatch.setattr(channels, "_qubit_coeffs", incomplete_depolarizing(channels._qubit_coeffs))
-    monkeypatch.setattr(verify, "gmqd_closed_form", shift_value(verify.gmqd_closed_form, 1e-6))
+    monkeypatch.setattr(dynamics, "gmqd_closed_form", shift_value(dynamics.gmqd_closed_form, 1e-6))
     assert cli.main(["verify", "--quick"]) == cli.EXIT_VERIFY_FAILED
     captured = capsys.readouterr()
     assert "error: verification failed at kraus-completeness\n" in captured.err
