@@ -2,7 +2,7 @@
 """Compare the numeric, closed-form and brute-force oracle discord routes.
 
 Prints one line per sampled (state, scenario) pair.  The oracle is a grid
-plus pattern search over the qubit basis, about 2-4 ms per sample at 16
+plus pattern search over the qubit basis, about 2 ms per sample at 16
 restarts (2 vCPUs, BLAS on one thread); ``--restarts`` sets how many of its
 best grid cells are refined.
 

@@ -23,14 +23,12 @@ from .dynamics import (
 from .errors import GmqdError
 from .measures import (
     GmqdResult,
-    Method,
     closed_form_coefficients,
     correlation_matrix,
     gmqd_closed_form,
     gmqd_dakic_two_qubit,
     gmqd_numeric,
     gmqd_oracle,
-    reconstruct_state,
     standard_basis,
 )
 from .states import (
@@ -53,7 +51,6 @@ __all__ = [
     "GmqdResult",
     "KrausSet",
     "Locality",
-    "Method",
     "NoiseScenario",
     "SweepAxis",
     "SweepRow",
@@ -74,7 +71,6 @@ __all__ = [
     "qubit_kraus",
     "qutrit_kraus",
     "random_density",
-    "reconstruct_state",
     "run_sweep",
     "run_verification",
     "standard_basis",

@@ -55,9 +55,10 @@ def time_grid(
 class SweepSpec:
     """One sweep: scenario template, state parameters, axis and grid.
 
-    ``scenario`` fixes the channel kind and locality; its gamma fields are
-    ignored and replaced point by point.  With ``Coupling.EQUAL`` every active
-    strength takes the grid value (time sweeps use ``rate_a`` for both sides).
+    ``scenario`` fixes the channel kind and locality; its gamma fields must be
+    0, since the grid sets both strengths point by point.  With
+    ``Coupling.EQUAL`` every active strength takes the grid value (time sweeps
+    use ``rate_a`` for both sides).
     ``Coupling.INDEPENDENT`` on the gamma axis expands the grid to its
     cartesian square (multi-local only, long-format rows); on the time axis it
     applies the two decay rates separately.
@@ -81,6 +82,11 @@ class SweepSpec:
         # rates are checked on both axes, although only time sweeps use them
         check_decay_rate(self.rate_a)
         check_decay_rate(self.rate_b)
+        if self.scenario.gamma_a != 0.0 or self.scenario.gamma_b != 0.0:
+            raise InvalidParametersError(
+                "sweep scenario strengths must be 0, since the grid sets them; "
+                f"got gamma_a={self.scenario.gamma_a!r}, gamma_b={self.scenario.gamma_b!r}"
+            )
         if any(hi <= lo for lo, hi in zip(grid, grid[1:])):
             raise InvalidParametersError("sweep grid must be strictly increasing")
         if self.axis is SweepAxis.GAMMA and (grid[0] < 0.0 or grid[-1] > 1.0):

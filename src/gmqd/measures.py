@@ -25,7 +25,6 @@ test and verification suites:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -55,15 +54,8 @@ ORTHOGONAL_TOL = 1e-8
 ORACLE_DEFAULT_RESTARTS = 32
 ORACLE_THETA_POINTS = 17
 ORACLE_PHI_POINTS = 32
-ORACLE_STEP_TOL = 1e-10
+ORACLE_STEP_TOL = 1e-6
 ORACLE_MAX_ITER = 400
-
-
-class Method(Enum):
-    NUMERIC = "numeric"
-    CLOSED_FORM = "closed-form"
-    ORACLE = "oracle"
-    DAKIC = "dakic"
 
 
 @dataclass(frozen=True)
@@ -78,7 +70,6 @@ class GmqdResult:
     value: float
     argmax_theta: float
     argmax_phi: float
-    method: Method
     clamped: bool = False
     degenerate: bool = False
 
@@ -138,12 +129,6 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     return coeffs.real.reshape(4, 9).copy()
 
 
-def reconstruct_state(coeffs: np.ndarray) -> np.ndarray:
-    """Rebuild the 6x6 matrix sum_ij c_ij X_i (x) Y_j from its coefficients."""
-    flat = np.asarray(coeffs, dtype=float).reshape(36)
-    return np.einsum("k,kij->ij", flat, _product_basis())
-
-
 def _angles_from_direction(e: np.ndarray) -> tuple[float, float]:
     theta = 0.5 * np.arccos(np.clip(e[2], -1.0, 1.0))
     if np.hypot(e[0], e[1]) < 1e-12:
@@ -197,8 +182,7 @@ def gmqd_numeric(rho: DensityMatrix) -> GmqdResult:
     direction, degenerate = _top_direction(evals, evecs)
     theta, phi = _angles_from_direction(direction)
     return GmqdResult(
-        value=value, argmax_theta=theta, argmax_phi=phi,
-        method=Method.NUMERIC, clamped=clamped, degenerate=degenerate,
+        value=value, argmax_theta=theta, argmax_phi=phi, clamped=clamped, degenerate=degenerate,
     )
 
 
@@ -342,10 +326,7 @@ def gmqd_oracle(rho: DensityMatrix, restarts: int = ORACLE_DEFAULT_RESTARTS) -> 
 
     winner = int(np.argmin(fx))
     theta, phi = _canonical_angles(float(x[winner, 0]), float(x[winner, 1]))
-    return GmqdResult(
-        value=max(float(fx[winner]), 0.0), argmax_theta=theta, argmax_phi=phi,
-        method=Method.ORACLE,
-    )
+    return GmqdResult(value=max(float(fx[winner]), 0.0), argmax_theta=theta, argmax_phi=phi)
 
 
 def _pauli_components(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,6 +354,5 @@ def gmqd_dakic_two_qubit(rho: DensityMatrix) -> GmqdResult:
     direction, degenerate = _top_direction(evals, evecs)
     theta, phi = _angles_from_direction(direction)
     return GmqdResult(
-        value=value, argmax_theta=theta, argmax_phi=phi,
-        method=Method.DAKIC, clamped=clamped, degenerate=degenerate,
+        value=value, argmax_theta=theta, argmax_phi=phi, clamped=clamped, degenerate=degenerate,
     )

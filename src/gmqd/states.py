@@ -158,7 +158,7 @@ def initial_state(params: TwoParamState) -> DensityMatrix:
 
 def werner_state(z: float) -> DensityMatrix:
     """Two-qubit Werner state z |psi-><psi-| + (1-z) I/4, physical for z in [-1/3, 1]."""
-    if z < -1.0 / 3.0 - PARAM_TOL or z > 1.0 + PARAM_TOL:
+    if not -1.0 / 3.0 - PARAM_TOL <= z <= 1.0 + PARAM_TOL:
         raise InvalidParametersError(f"Werner weight z={z:.6g} outside [-1/3, 1]")
     vec = np.zeros(4, dtype=complex)
     vec[1] = 1.0 / np.sqrt(2.0)

@@ -8,7 +8,7 @@ it into its result, so a check that raises fails alone.  The full suite
 (``quick=False``) is the only implementation of the acceptance criteria:
 ``tests/test_acceptance.py`` reads its report and pins each check's
 tolerance and evaluation count.  ``quick=True`` shrinks the grids so the
-suite finishes in about a second.
+suite finishes in well under a second.
 
 ``closed-form-vs-numeric``, ``no-sudden-death`` and
 ``qutrit-endpoint-positivity`` read the rows of
@@ -66,9 +66,8 @@ ENDPOINT_EPS = 1e-9  # rows with a strength this close to 1 are endpoints, exemp
 FULL_BC_POINTS = ((0.2, 0.1), (1.0 / 3.0, 0.0), (0.1, 0.35), (0.25, 0.25), (0.05, 0.6))
 QUICK_BC_POINTS = ((0.2, 0.1), (0.1, 0.35))
 
-# One fault-injection target, used to demonstrate that the harness actually
-# detects a wrong tabulated coefficient.
-FAULT_CHECK_NAME = "coefficient-tables/bit-flip"
+# offset added to one bit-flip table entry under inject_fault, to show the
+# harness detects a wrong tabulated coefficient
 _FAULT_OFFSET = 1e-3
 
 

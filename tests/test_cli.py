@@ -312,6 +312,15 @@ class TestConfigFile:
         assert code == 0
         assert len(json.loads(out)["rows"]) == 4
 
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfeb 0.2\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "compute", "--b", "0.2", "--c", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(cfg) in err
+        assert "Traceback" not in err
+
     def test_missing_config_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.cfg"))
         assert code == 3

@@ -61,6 +61,12 @@ class TestSweepSpecValidation:
         with pytest.raises(InvalidParametersError, match="finite"):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, grid, axis=axis, **kwargs)
 
+    @pytest.mark.parametrize("strengths", [(0.7, 0.7), (0.7, 0.0), (0.0, 0.7)])
+    def test_template_strengths_must_be_zero(self, strengths):
+        scenario = NoiseScenario(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, *strengths)
+        with pytest.raises(InvalidParametersError, match="strengths must be 0"):
+            SweepSpec(scenario, 0.2, 0.1, (0.0,))
+
     @pytest.mark.parametrize("axis", tuple(SweepAxis), ids=lambda a: a.value)
     @pytest.mark.parametrize("where", ["rate_a", "rate_b"])
     def test_negative_rate_on_either_axis(self, axis, where):

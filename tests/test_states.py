@@ -172,6 +172,8 @@ class TestWernerAndRandom:
             werner_state(-0.4)
         with pytest.raises(InvalidParametersError):
             werner_state(1.1)
+        with pytest.raises(InvalidParametersError, match="z=nan"):
+            werner_state(math.nan)
 
     def test_random_density_valid(self, rng):
         for dim in (2, 3, 4, 6):
