@@ -15,18 +15,12 @@ Operator counts per kind:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidParametersError,
-    NegativeInputError,
-    OutOfRangeError,
-)
+from .errors import GmqdError, check_nonnegative
 from .states import DensityMatrix, validate_density
 
 COMPLETENESS_TOL = 1e-12
@@ -79,7 +73,7 @@ class Locality(Enum):
 
 def _check_gamma(gamma: float, name: str) -> None:
     if not 0.0 <= gamma <= 1.0:
-        raise OutOfRangeError(f"{name} must lie in [0, 1], got {gamma!r}")
+        raise GmqdError(f"{name} must lie in [0, 1], got {gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -98,16 +92,16 @@ class KrausSet:
     def __post_init__(self):
         ops = np.array(self.ops, dtype=complex)
         if ops.ndim != 3 or len(ops) == 0:
-            raise InvalidParametersError("Kraus set must be a nonempty sequence of matrices")
+            raise GmqdError("Kraus set must be a nonempty sequence of matrices")
         if ops.shape[1:] != (6, 6):
-            raise DimensionMismatchError(f"Kraus operators must be 6x6, got {ops.shape[1:]}")
+            raise GmqdError(f"Kraus operators must be 6x6, got {ops.shape[1:]}")
         if not np.isfinite(ops).all():
-            raise InvalidParametersError("Kraus operator entries must be finite")
+            raise GmqdError("Kraus operator entries must be finite")
         rows = ops.reshape(-1, 6)  # the operators stacked vertically
         acc = rows.conj().T @ rows
         deviation = float(np.max(np.abs(acc - _I6)))
         if deviation > COMPLETENESS_TOL:
-            raise InvalidParametersError(f"Kraus completeness violated by {deviation:.3e}")
+            raise GmqdError(f"Kraus completeness violated by {deviation:.3e}")
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "completeness_error", deviation)
@@ -126,24 +120,13 @@ class NoiseScenario:
         _check_gamma(self.gamma_a, "gamma_a")
         _check_gamma(self.gamma_b, "gamma_b")
         if self.locality.pin(self.gamma_a, self.gamma_b) != (self.gamma_a, self.gamma_b):
-            raise InvalidParametersError(f"{self.locality.value} noise requires its idle side's strength to be 0")
-
-
-def check_decay_rate(rate: float) -> None:
-    """Reject a decay rate that is not finite or is negative."""
-    if not math.isfinite(rate):
-        raise InvalidParametersError(f"decay rate must be finite, got {rate!r}")
-    if rate < 0.0:
-        raise NegativeInputError(f"decay rate must be nonnegative, got {rate!r}")
+            raise GmqdError(f"{self.locality.value} noise requires its idle side's strength to be 0")
 
 
 def gamma_of_t(t: float, decay_rate: float) -> float:
     """Time-dependent channel strength 1 - exp(-t * rate), clamped to [0, 1]."""
-    if not math.isfinite(t):
-        raise InvalidParametersError(f"time must be finite, got {t!r}")
-    if t < 0.0:
-        raise NegativeInputError(f"time must be nonnegative, got {t!r}")
-    check_decay_rate(decay_rate)
+    check_nonnegative(t, "time")
+    check_nonnegative(decay_rate, "decay rate")
     return float(min(1.0, max(0.0, -np.expm1(-t * decay_rate))))
 
 
@@ -245,7 +228,7 @@ def apply_scenario(rho: DensityMatrix, scenario: NoiseScenario) -> DensityMatrix
     applies a single list.  The output is revalidated as a density matrix.
     """
     if rho.dim != 6:
-        raise DimensionMismatchError(f"scenario application needs a 6x6 state, got {rho.dim}")
+        raise GmqdError(f"scenario application needs a 6x6 state, got {rho.dim}")
     mat = rho.mat
     if scenario.locality is not Locality.QUTRIT_ONLY:
         mat = _apply_ops(mat, qubit_kraus(scenario.kind, scenario.gamma_a).ops)

@@ -18,7 +18,6 @@ from .channels import (
     Locality,
     NoiseScenario,
     apply_scenario,
-    check_decay_rate,
     gamma_of_t,
     qubit_kraus,
     qutrit_kraus,
@@ -34,17 +33,16 @@ from .dynamics import (
     run_sweep,
     time_grid,
 )
-from .errors import GmqdError
+from .errors import GmqdError, check_count, check_nonnegative
 from .measures import (
     ORACLE_DEFAULT_RESTARTS,
-    check_oracle_restarts,
     gmqd_closed_form,
     gmqd_numeric,
     gmqd_oracle,
 )
 from .output import sweep_csv_text, sweep_json_doc
 from .states import TwoParamState, initial_state
-from .verify import check_seed, run_verification
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -128,8 +126,8 @@ def _compute_scenario(args) -> NoiseScenario:
     kind = ChannelKind(args.channel)
     locality = Locality(args.locality)
     # both rates are checked, also where --time or the locality leaves one unused
-    check_decay_rate(args.rate_a)
-    check_decay_rate(args.rate_b)
+    check_nonnegative(args.rate_a, "decay rate")
+    check_nonnegative(args.rate_b, "decay rate")
     if args.time is not None:
         if args.gamma_a is not None or args.gamma_b is not None:
             raise GmqdError("give either --time or explicit --gamma-a/--gamma-b, not both")
@@ -152,7 +150,7 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_compute(args) -> int:
     params = _state_params(args)
     scenario = _compute_scenario(args)
-    check_oracle_restarts(args.oracle_restarts)  # also without --with-oracle
+    check_count(args.oracle_restarts, "restarts", 1)  # also without --with-oracle
     evolved = apply_scenario(initial_state(params), scenario)
     numeric = gmqd_numeric(evolved)
     closed = gmqd_closed_form(scenario, params.b, params.c)
@@ -180,7 +178,7 @@ def cmd_compute(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = _state_params(args)
-    check_seed(args.seed)  # only a metadata label here, held to verify's rule
+    check_count(args.seed, "seed", 0)  # only a metadata label here, held to verify's rule
     axis = SweepAxis(args.axis)
     coupling = Coupling(args.coupling)
     points = args.points
@@ -291,8 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--coupling", choices=("equal", "independent"), default="equal")
     sweep.add_argument("--t-max", type=float, default=DEFAULT_TIME_MAX, help="time-axis upper end")
-    sweep.add_argument("--rate-a", type=float, default=1.0)
-    sweep.add_argument("--rate-b", type=float, default=1.0)
+    sweep.add_argument("--rate-a", type=float, default=1.0, help="qubit decay rate (time axis)")
+    sweep.add_argument(
+        "--rate-b", type=float, default=1.0,
+        help="qutrit decay rate (time axis, --coupling independent only; "
+        "under --coupling equal both sides use --rate-a)",
+    )
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--output", default=None, help="output path (default: stdout)")

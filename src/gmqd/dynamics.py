@@ -9,8 +9,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .channels import Locality, NoiseScenario, apply_scenario, check_decay_rate, gamma_of_t
-from .errors import InvalidParametersError, check_integer
+from .channels import Locality, NoiseScenario, apply_scenario, gamma_of_t
+from .errors import GmqdError, check_count, check_nonnegative
 from .measures import gmqd_closed_form, gmqd_numeric
 from .states import TwoParamState, initial_state
 
@@ -29,15 +29,9 @@ class Coupling(Enum):
     INDEPENDENT = "independent"
 
 
-def _check_points(points: int) -> None:
-    check_integer(points, "grid point count")
-    if points < 1:
-        raise InvalidParametersError(f"grid needs at least one point, got {points}")
-
-
 def gamma_grid(points: int = DEFAULT_GAMMA_POINTS) -> tuple[float, ...]:
     """Uniform grid of channel strengths over [0, 1]."""
-    _check_points(points)
+    check_count(points, "grid point count", 1)
     return tuple(float(x) for x in np.linspace(0.0, 1.0, points))
 
 
@@ -45,9 +39,8 @@ def time_grid(
     points: int = DEFAULT_GAMMA_POINTS, t_max: float = DEFAULT_TIME_MAX
 ) -> tuple[float, ...]:
     """Uniform grid of times over [0, t_max]."""
-    _check_points(points)
-    if not (math.isfinite(t_max) and t_max >= 0.0):
-        raise InvalidParametersError(f"t_max must be finite and nonnegative, got {t_max!r}")
+    check_count(points, "grid point count", 1)
+    check_nonnegative(t_max, "t_max")
     return tuple(float(x) for x in np.linspace(0.0, t_max, points))
 
 
@@ -76,29 +69,29 @@ class SweepSpec:
     def __post_init__(self):
         grid = tuple(float(x) for x in self.grid)
         if not grid:
-            raise InvalidParametersError("sweep grid is empty")
+            raise GmqdError("sweep grid is empty")
         if not all(math.isfinite(x) for x in grid):
-            raise InvalidParametersError("sweep grid must be finite")
+            raise GmqdError("sweep grid must be finite")
         # rates are checked on both axes, although only time sweeps use them
-        check_decay_rate(self.rate_a)
-        check_decay_rate(self.rate_b)
+        check_nonnegative(self.rate_a, "decay rate")
+        check_nonnegative(self.rate_b, "decay rate")
         if self.scenario.gamma_a != 0.0 or self.scenario.gamma_b != 0.0:
-            raise InvalidParametersError(
+            raise GmqdError(
                 "sweep scenario strengths must be 0, since the grid sets them; "
                 f"got gamma_a={self.scenario.gamma_a!r}, gamma_b={self.scenario.gamma_b!r}"
             )
         if any(hi <= lo for lo, hi in zip(grid, grid[1:])):
-            raise InvalidParametersError("sweep grid must be strictly increasing")
+            raise GmqdError("sweep grid must be strictly increasing")
         if self.axis is SweepAxis.GAMMA and (grid[0] < 0.0 or grid[-1] > 1.0):
-            raise InvalidParametersError("gamma grid must lie in [0, 1]")
+            raise GmqdError("gamma grid must lie in [0, 1]")
         if self.axis is SweepAxis.TIME and grid[0] < 0.0:
-            raise InvalidParametersError("time grid must be nonnegative")
+            raise GmqdError("time grid must be nonnegative")
         if (
             self.coupling is Coupling.INDEPENDENT
             and self.axis is SweepAxis.GAMMA
             and self.scenario.locality is not Locality.MULTI_LOCAL
         ):
-            raise InvalidParametersError("independent gamma grids need multi-local noise")
+            raise GmqdError("independent gamma grids need multi-local noise")
         object.__setattr__(self, "grid", grid)
 
 

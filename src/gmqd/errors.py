@@ -1,47 +1,33 @@
-"""Exception hierarchy for input validation and domain errors."""
+"""The package's one exception class and the input rules several modules share.
 
+Every input or domain error gmqd raises is a :class:`GmqdError`, a
+``ValueError`` whose message names the rule that failed; the CLI maps it to
+exit code 2.  A rule that more than one module applies lives here, once:
+:func:`check_count` for counts and seeds, :func:`check_nonnegative` for
+decay rates and times.
+"""
+
+import math
 import operator
 
 
 class GmqdError(ValueError):
-    """Base class for every validation error raised by this package."""
+    """Every validation or domain error raised by this package."""
 
 
-class NonSquareError(GmqdError):
-    """A square matrix was required."""
-
-
-class DimensionMismatchError(GmqdError):
-    """Operands have incompatible shapes."""
-
-
-class NotHermitianError(GmqdError):
-    """Matrix deviates from Hermitian beyond tolerance."""
-
-
-class TraceNotOneError(GmqdError):
-    """Density matrix trace differs from one."""
-
-
-class NotPositiveError(GmqdError):
-    """Matrix has an eigenvalue below the positivity tolerance."""
-
-
-class InvalidParametersError(GmqdError):
-    """State, scenario or sweep parameters violate their constraints."""
-
-
-class NegativeInputError(GmqdError):
-    """A nonnegative quantity was required."""
-
-
-class OutOfRangeError(GmqdError):
-    """A bounded parameter (e.g. a channel strength) is outside its range."""
-
-
-def check_integer(value, name: str) -> None:
-    """Reject a count or seed that is not a Python or numpy integer, before any range check."""
+def check_count(value, name: str, minimum: int) -> None:
+    """Reject a count or seed that is not a Python or numpy integer, then one below ``minimum``."""
     try:
         operator.index(value)
     except TypeError:
-        raise InvalidParametersError(f"{name} must be an integer, got {value!r}") from None
+        raise GmqdError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise GmqdError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_nonnegative(value: float, name: str) -> None:
+    """Reject a rate or time that is not finite, then one that is negative."""
+    if not math.isfinite(value):
+        raise GmqdError(f"{name} must be finite, got {value!r}")
+    if value < 0.0:
+        raise GmqdError(f"{name} must be nonnegative, got {value!r}")

@@ -30,13 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import PAULI, ChannelKind, NoiseScenario
-from .errors import (
-    DimensionMismatchError,
-    GmqdError,
-    NotHermitianError,
-    OutOfRangeError,
-    check_integer,
-)
+from .errors import GmqdError, check_count
 from .states import DensityMatrix, TwoParamState
 
 SQRT2 = np.sqrt(2.0)
@@ -119,13 +113,11 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     unit-trace state.
     """
     if rho.dim != 6:
-        raise DimensionMismatchError(f"correlation matrix needs a 6x6 state, got {rho.dim}")
+        raise GmqdError(f"correlation matrix needs a 6x6 state, got {rho.dim}")
     coeffs = np.einsum("kij,ji->k", _product_basis(), rho.mat)
     worst = float(np.max(np.abs(coeffs.imag)))
     if worst > COEFF_IMAG_TOL:
-        raise NotHermitianError(
-            f"correlation coefficients have imaginary parts up to {worst:.3e}"
-        )
+        raise GmqdError(f"correlation coefficients have imaginary parts up to {worst:.3e}")
     return coeffs.real.reshape(4, 9).copy()
 
 
@@ -276,13 +268,6 @@ def _pinching_distance(rho_mat: np.ndarray, theta: np.ndarray, phi: np.ndarray) 
     return 2.0 * np.sum(np.abs(weights @ blocks) ** 2, axis=-1)
 
 
-def check_oracle_restarts(restarts: int) -> None:
-    """Reject an oracle restart count that is not an integer or is below one."""
-    check_integer(restarts, "restarts")
-    if restarts < 1:
-        raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
-
-
 _PATTERN = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
@@ -298,8 +283,8 @@ def gmqd_oracle(rho: DensityMatrix, restarts: int = ORACLE_DEFAULT_RESTARTS) -> 
     route is deliberately independent of the correlation-matrix machinery.
     """
     if rho.dim != 6:
-        raise DimensionMismatchError(f"oracle needs a 6x6 state, got {rho.dim}")
-    check_oracle_restarts(restarts)
+        raise GmqdError(f"oracle needs a 6x6 state, got {rho.dim}")
+    check_count(restarts, "restarts", 1)
 
     thetas, phis = np.meshgrid(
         np.linspace(0.0, np.pi / 2.0, ORACLE_THETA_POINTS),
@@ -345,7 +330,7 @@ def gmqd_dakic_two_qubit(rho: DensityMatrix) -> GmqdResult:
     :func:`_top_direction`).
     """
     if rho.dim != 4:
-        raise DimensionMismatchError(f"two-qubit formula needs a 4x4 state, got {rho.dim}")
+        raise GmqdError(f"two-qubit formula needs a 4x4 state, got {rho.dim}")
     bloch, corr = _pauli_components(rho.mat)
     k = np.outer(bloch, bloch) + corr @ corr.T
     evals, evecs = np.linalg.eigh(k)

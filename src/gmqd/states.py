@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GmqdError,
-    InvalidParametersError,
-    NonSquareError,
-    NotHermitianError,
-    NotPositiveError,
-    TraceNotOneError,
-)
+from .errors import GmqdError
 
 PARAM_TOL = 1e-12
 HERMITIAN_TOL = 1e-9
@@ -52,9 +45,7 @@ def bell_state(kind: str) -> np.ndarray:
     onto (|01> +- |10>)/sqrt(2), embedded in the 2x3 composite space.
     """
     if kind not in BELL_KINDS:
-        raise InvalidParametersError(
-            f"unknown Bell state {kind!r}; expected one of {BELL_KINDS}"
-        )
+        raise GmqdError(f"unknown Bell state {kind!r}; expected one of {BELL_KINDS}")
     sign = 1.0 if kind.endswith("+") else -1.0
     vec = np.zeros(6, dtype=complex)
     if kind.startswith("phi"):
@@ -81,27 +72,23 @@ class TwoParamState:
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
-            raise InvalidParametersError(
-                f"weights must be finite, got a={self.a!r}, b={self.b!r}, c={self.c!r}"
-            )
+            raise GmqdError(f"weights must be finite, got a={self.a!r}, b={self.b!r}, c={self.c!r}")
         total = 2.0 * self.a + 3.0 * self.b + self.c
         if abs(total - 1.0) > PARAM_TOL:
-            raise InvalidParametersError(
+            raise GmqdError(
                 f"2a+3b+c must equal 1, got {total!r} "
                 f"for a={self.a!r}, b={self.b!r}, c={self.c!r}"
             )
         for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
             if value < -PARAM_TOL:
-                raise InvalidParametersError(f"{name} must be nonnegative, got {value!r}")
+                raise GmqdError(f"{name} must be nonnegative, got {value!r}")
 
     @classmethod
     def from_bc(cls, b: float, c: float) -> "TwoParamState":
         """Derive a = (1 - 3b - c)/2 from the trace constraint."""
         a = 0.5 * (1.0 - 3.0 * b - c)
         if a < -PARAM_TOL:
-            raise InvalidParametersError(
-                f"2a+3b+c=1 gives a={a:.6g} < 0 for b={b:.6g}, c={c:.6g}"
-            )
+            raise GmqdError(f"2a+3b+c=1 gives a={a:.6g} < 0 for b={b:.6g}, c={c:.6g}")
         return cls(a=max(a, 0.0), b=b, c=c)
 
 
@@ -114,20 +101,18 @@ class DensityMatrix:
     def __post_init__(self):
         mat = as_matrix(self.mat).copy()
         if mat.shape[0] != mat.shape[1]:
-            raise NonSquareError(f"density matrix must be square, got {mat.shape}")
+            raise GmqdError(f"density matrix must be square, got {mat.shape}")
         if mat.shape[0] not in ALLOWED_DIMS:
-            raise InvalidParametersError(
-                f"unsupported dimension {mat.shape[0]}; expected one of {ALLOWED_DIMS}"
-            )
+            raise GmqdError(f"unsupported dimension {mat.shape[0]}; expected one of {ALLOWED_DIMS}")
         deviation = float(np.max(np.abs(mat - mat.conj().T)))
         if deviation > HERMITIAN_TOL:
-            raise NotHermitianError(f"deviation from Hermitian is {deviation:.3e}")
+            raise GmqdError(f"deviation from Hermitian is {deviation:.3e}")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
-            raise TraceNotOneError(f"trace is {tr.real:.12g}, expected 1")
+            raise GmqdError(f"trace is {tr.real:.12g}, expected 1")
         lowest = float(np.linalg.eigvalsh(mat)[0])
         if lowest < -PSD_TOL:
-            raise NotPositiveError(f"minimum eigenvalue {lowest:.3e} below -{PSD_TOL:g}")
+            raise GmqdError(f"minimum eigenvalue {lowest:.3e} below -{PSD_TOL:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -159,7 +144,7 @@ def initial_state(params: TwoParamState) -> DensityMatrix:
 def werner_state(z: float) -> DensityMatrix:
     """Two-qubit Werner state z |psi-><psi-| + (1-z) I/4, physical for z in [-1/3, 1]."""
     if not -1.0 / 3.0 - PARAM_TOL <= z <= 1.0 + PARAM_TOL:
-        raise InvalidParametersError(f"Werner weight z={z:.6g} outside [-1/3, 1]")
+        raise GmqdError(f"Werner weight z={z:.6g} outside [-1/3, 1]")
     vec = np.zeros(4, dtype=complex)
     vec[1] = 1.0 / np.sqrt(2.0)
     vec[2] = -1.0 / np.sqrt(2.0)

@@ -38,7 +38,7 @@ from .channels import (
     qutrit_kraus,
 )
 from .dynamics import Coupling, SweepSpec, gamma_grid, run_sweep
-from .errors import GmqdError, InvalidParametersError, check_integer
+from .errors import GmqdError, check_count
 from .measures import (
     closed_form_coefficients,
     correlation_matrix,
@@ -60,7 +60,7 @@ TOL_ASYMPTOTE = 1e-8
 # exact: a sweep row scores 1.0 where the discord vanishes inside the grid, else 0.0
 TOL_SUDDEN_DEATH = 0.0
 
-ZERO_TOL = 1e-10  # numeric discord at or below this counts as vanished
+ZERO_TOL = 1e-10  # numeric discord not above this counts as vanished
 ENDPOINT_EPS = 1e-9  # rows with a strength this close to 1 are endpoints, exempt
 
 FULL_BC_POINTS = ((0.2, 0.1), (1.0 / 3.0, 0.0), (0.1, 0.35), (0.25, 0.25), (0.05, 0.6))
@@ -69,13 +69,6 @@ QUICK_BC_POINTS = ((0.2, 0.1), (0.1, 0.35))
 # offset added to one bit-flip table entry under inject_fault, to show the
 # harness detects a wrong tabulated coefficient
 _FAULT_OFFSET = 1e-3
-
-
-def check_seed(seed: int) -> None:
-    """Reject a non-integer or negative seed, for ``gmqd verify`` and ``gmqd sweep`` alike."""
-    check_integer(seed, "seed")
-    if seed < 0:
-        raise InvalidParametersError(f"seed must be nonnegative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +110,8 @@ class VerificationReport:
 
         A raised check's error covers only the evaluations before the raise,
         so it is ranked ahead of every check that merely missed its tolerance.
-        A failed exact check (tolerance 0) lies infinitely far past its bound.
+        A failed exact check (tolerance 0) and a NaN error lie infinitely far
+        past their bounds.
         """
         failures = [c for c in self.checks if not c.passed]
         if not failures:
@@ -125,7 +119,9 @@ class VerificationReport:
         raised = [c for c in failures if c.raised]
         if raised:
             return raised[0]
-        return max(failures, key=lambda c: c.max_abs_error / c.tolerance if c.tolerance else math.inf)
+        return max(failures, key=lambda c: (
+            c.max_abs_error / c.tolerance if c.tolerance and not math.isnan(c.max_abs_error) else math.inf
+        ))
 
     def lines(self) -> list[str]:
         out = [check.line() for check in self.checks]
@@ -139,6 +135,7 @@ class VerificationReport:
         return out
 
     def to_json(self) -> str:
+        """The report as strict JSON; a non-finite ``max_abs_error`` is written as null."""
         doc = {
             "version": self.version,
             "seed": self.seed,
@@ -148,7 +145,7 @@ class VerificationReport:
                 {
                     "name": c.name,
                     "passed": c.passed,
-                    "max_abs_error": c.max_abs_error,
+                    "max_abs_error": c.max_abs_error if math.isfinite(c.max_abs_error) else None,
                     "tolerance": c.tolerance,
                     "points": c.points,
                     "detail": c.detail,
@@ -158,7 +155,7 @@ class VerificationReport:
         }
         worst = self.worst_failure()
         doc["worst_offender"] = None if worst is None else worst.name
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
 
 
 Evaluations = Iterator[tuple[float, str]]
@@ -169,6 +166,7 @@ def _tally(name: str, tolerance: float, evaluations: Evaluations) -> CheckResult
 
     The check passes when the worst deviation is within ``tolerance``;
     ``detail`` is the location of the first evaluation that reached it.  A
+    NaN deviation ranks past every number, so it fails the check.  A
     GmqdError raised while the evaluations run fails this check alone, with
     the evaluations completed before it and the message in ``detail``.  A
     check that scores sweeps counts none of a sweep's rows if that sweep
@@ -178,7 +176,7 @@ def _tally(name: str, tolerance: float, evaluations: Evaluations) -> CheckResult
     try:
         for dev, location in evaluations:
             points += 1
-            if dev > worst:
+            if dev > worst or (math.isnan(dev) and not math.isnan(worst)):
                 worst, where = dev, location
     except GmqdError as exc:
         return CheckResult(name, False, worst, tolerance, points, f"raised: {exc}", raised=True)
@@ -282,7 +280,8 @@ def _werner(quick: bool) -> Evaluations:
         expected = 0.5 * (b - c) ** 2
         numeric = gmqd_numeric(initial_state(TwoParamState.from_bc(b, c))).value
         two_qubit = gmqd_dakic_two_qubit(werner_state(c - b)).value
-        dev = max(abs(numeric - expected), abs(two_qubit - expected), abs(numeric - two_qubit))
+        # np.max, unlike max, keeps a NaN from either route
+        dev = float(np.max(np.abs([numeric - expected, two_qubit - expected, numeric - two_qubit])))
         yield dev, f"worst at b={b:.4g}"
 
 
@@ -295,7 +294,8 @@ def _no_sudden_death(quick: bool) -> Evaluations:
             sweep = run_sweep(SweepSpec(scenario=NoiseScenario(kind, locality), b=1.0 / 3.0, c=0.0, grid=grid))
             for i, row in enumerate(sweep):
                 interior = max(row.gamma_a, row.gamma_b) < 1.0 - ENDPOINT_EPS
-                vanished = interior and row.d_numeric <= ZERO_TOL
+                # a NaN value counts as vanished
+                vanished = interior and not row.d_numeric > ZERO_TOL
                 yield float(vanished), f"worst at {kind.value}/{locality.value} row {i}"
 
 
@@ -330,7 +330,7 @@ def run_verification(seed: int = 0, quick: bool = False, inject_fault: bool = Fa
     nonnegative; a check that raises is reported as failed and the rest
     still run.
     """
-    check_seed(seed)
+    check_count(seed, "seed", 0)
     checks = [
         _tally("kraus-completeness", COMPLETENESS_TOL, _kraus_completeness()),
         _tally("hermitian-basis-orthonormality", TOL_BASIS, _basis_orthonormality()),

@@ -15,12 +15,7 @@ from gmqd.channels import (
     qubit_kraus,
     qutrit_kraus,
 )
-from gmqd.errors import (
-    DimensionMismatchError,
-    InvalidParametersError,
-    NegativeInputError,
-    OutOfRangeError,
-)
+from gmqd.errors import GmqdError
 from gmqd.states import TwoParamState, initial_state, random_density, validate_density
 
 NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
@@ -50,16 +45,17 @@ class TestGammaOfT:
         assert gamma_of_t(np.log(2.0), 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_negative_inputs(self):
-        with pytest.raises(NegativeInputError):
+        with pytest.raises(GmqdError, match="time must be nonnegative"):
             gamma_of_t(-0.1, 1.0)
-        with pytest.raises(NegativeInputError):
+        with pytest.raises(GmqdError, match="decay rate must be nonnegative"):
             gamma_of_t(0.1, -1.0)
 
     @given(bad=NON_FINITE, good=st.floats(0.0, 10.0), slot=st.integers(0, 1))
     def test_non_finite_inputs(self, bad, good, slot):
         args = [good, good]
         args[slot] = bad
-        with pytest.raises(InvalidParametersError, match="finite"):
+        name = ("time", "decay rate")[slot]
+        with pytest.raises(GmqdError, match=f"^{name} must be finite"):
             gamma_of_t(*args)
 
 
@@ -120,28 +116,28 @@ class TestKrausSets:
         ops[0][0, 0] = 9.0  # the set keeps its own copy
         assert kraus.ops[0, 0, 0] == 0.5
 
-    @pytest.mark.parametrize("ops, error", [
-        ([], InvalidParametersError),
-        ([np.eye(4)], DimensionMismatchError),
-        ([np.full((6, 6), np.nan)], InvalidParametersError),
-        ([0.5 * np.eye(6)], InvalidParametersError),
+    @pytest.mark.parametrize("ops, message", [
+        ([], "Kraus set must be a nonempty sequence"),
+        ([np.eye(4)], "Kraus operators must be 6x6"),
+        ([np.full((6, 6), np.nan)], "Kraus operator entries must be finite"),
+        ([0.5 * np.eye(6)], "Kraus completeness violated"),
     ], ids=["empty", "not-6x6", "non-finite", "incomplete"])
-    def test_rejects_bad_operator_lists(self, ops, error):
-        with pytest.raises(error):
+    def test_rejects_bad_operator_lists(self, ops, message):
+        with pytest.raises(GmqdError, match=message):
             KrausSet(ops)
 
     def test_gamma_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(GmqdError, match="gamma_a must lie in \\[0, 1\\], got 1.2"):
             qubit_kraus(ChannelKind.DEPHASING, 1.2)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(GmqdError, match="gamma_b must lie in \\[0, 1\\], got -0.1"):
             qutrit_kraus(ChannelKind.DEPHASING, -0.1)
 
 
 class TestNoiseScenario:
     def test_locality_pins_inactive_gamma(self):
-        with pytest.raises(InvalidParametersError, match="qubit-only noise requires its idle side"):
+        with pytest.raises(GmqdError, match="qubit-only noise requires its idle side"):
             NoiseScenario(ChannelKind.DEPHASING, Locality.QUBIT_ONLY, gamma_a=0.3, gamma_b=0.1)
-        with pytest.raises(InvalidParametersError, match="qutrit-only noise requires its idle side"):
+        with pytest.raises(GmqdError, match="qutrit-only noise requires its idle side"):
             NoiseScenario(ChannelKind.DEPHASING, Locality.QUTRIT_ONLY, gamma_a=0.1, gamma_b=0.3)
 
     @pytest.mark.parametrize("locality, pinned", [
@@ -154,7 +150,7 @@ class TestNoiseScenario:
         NoiseScenario(ChannelKind.DEPHASING, locality, *pinned)  # accepted as is
 
     def test_gamma_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(GmqdError, match="gamma_a must lie in \\[0, 1\\], got 1.5"):
             NoiseScenario(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, gamma_a=1.5)
 
 

@@ -262,7 +262,7 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--b", "0.2", "--c", "0.1", "--points", "-1", *shape)
         assert code == 2
         assert out == ""
-        assert "at least one point" in err
+        assert "grid point count must be >= 1, got -1" in err
 
     @pytest.mark.parametrize(
         "shape", [(), ("--coupling", "independent"), ("--axis", "time"), ("--format", "json")],
@@ -275,7 +275,7 @@ class TestSweep:
         )
         assert code == 2
         assert out == ""
-        assert "seed must be nonnegative" in err
+        assert "seed must be >= 0, got -1" in err
 
     @settings(deadline=None)
     @given(bad=OUT_OF_DOMAIN_SWEEP, axis=st.sampled_from(("gamma", "time")))
@@ -361,7 +361,7 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--quick", "--seed", "-1")
         assert code == 2
         assert out == ""
-        assert "seed must be nonnegative" in err
+        assert "seed must be >= 0, got -1" in err
 
     def test_injected_fault_exits_1_and_names_check(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--quick", "--inject-fault")

@@ -15,7 +15,7 @@ from gmqd.dynamics import (
     run_sweep,
     time_grid,
 )
-from gmqd.errors import InvalidParametersError, NegativeInputError
+from gmqd.errors import GmqdError
 from gmqd.measures import gmqd_closed_form
 
 NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
@@ -33,19 +33,19 @@ def spec_for(kind, locality, grid, **kwargs):
 
 class TestSweepSpecValidation:
     def test_empty_grid(self):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(GmqdError, match="sweep grid is empty"):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, ())
 
     def test_non_increasing_grid(self):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(GmqdError, match="sweep grid must be strictly increasing"):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (0.0, 0.5, 0.5))
 
     def test_gamma_domain(self):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(GmqdError, match="gamma grid must lie in \\[0, 1\\]"):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (0.0, 1.2))
 
     def test_negative_time(self):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(GmqdError, match="time grid must be nonnegative"):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (-1.0, 0.0),
                      axis=SweepAxis.TIME)
 
@@ -58,40 +58,41 @@ class TestSweepSpecValidation:
             grid = (0.0, 0.5, bad)
         else:
             kwargs[where] = bad
-        with pytest.raises(InvalidParametersError, match="finite"):
+        message = "sweep grid must be finite" if where == "grid" else "decay rate must be finite"
+        with pytest.raises(GmqdError, match=message):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, grid, axis=axis, **kwargs)
 
     @pytest.mark.parametrize("strengths", [(0.7, 0.7), (0.7, 0.0), (0.0, 0.7)])
     def test_template_strengths_must_be_zero(self, strengths):
         scenario = NoiseScenario(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, *strengths)
-        with pytest.raises(InvalidParametersError, match="strengths must be 0"):
+        with pytest.raises(GmqdError, match="strengths must be 0"):
             SweepSpec(scenario, 0.2, 0.1, (0.0,))
 
     @pytest.mark.parametrize("axis", tuple(SweepAxis), ids=lambda a: a.value)
     @pytest.mark.parametrize("where", ["rate_a", "rate_b"])
     def test_negative_rate_on_either_axis(self, axis, where):
-        with pytest.raises(NegativeInputError, match="decay rate must be nonnegative"):
+        with pytest.raises(GmqdError, match="decay rate must be nonnegative"):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (0.0, 0.5), axis=axis, **{where: -1.0})
 
     @pytest.mark.parametrize("points", [0, -1])
     def test_grids_need_a_point(self, points):
-        with pytest.raises(InvalidParametersError, match="at least one point"):
+        with pytest.raises(GmqdError, match="grid point count must be >= 1"):
             gamma_grid(points)
-        with pytest.raises(InvalidParametersError, match="at least one point"):
+        with pytest.raises(GmqdError, match="grid point count must be >= 1"):
             time_grid(points)
 
     @given(bad=NON_FINITE)
     def test_non_finite_time_grid_end(self, bad):
-        with pytest.raises(InvalidParametersError, match="finite"):
+        with pytest.raises(GmqdError, match="t_max must be finite"):
             time_grid(5, bad)
 
     def test_negative_time_grid_end(self):
         # one point would give the valid grid (0.0,) and hide the bad end
-        with pytest.raises(InvalidParametersError, match="nonnegative"):
+        with pytest.raises(GmqdError, match="t_max must be nonnegative"):
             time_grid(1, -1.0)
 
     def test_independent_coupling_needs_multilocal(self):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(GmqdError, match="independent gamma grids need multi-local noise"):
             spec_for(ChannelKind.DEPHASING, Locality.QUBIT_ONLY, (0.0, 0.5, 1.0),
                      coupling=Coupling.INDEPENDENT)
 

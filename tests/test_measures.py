@@ -3,7 +3,7 @@ import pytest
 
 from gmqd import measures
 from gmqd.channels import PAULI, ChannelKind, Locality, NoiseScenario, apply_scenario
-from gmqd.errors import DimensionMismatchError, InvalidParametersError, OutOfRangeError
+from gmqd.errors import GmqdError
 from gmqd.measures import (
     ORACLE_PHI_POINTS,
     ORACLE_THETA_POINTS,
@@ -140,7 +140,7 @@ class TestCorrelationMatrix:
             assert np.max(np.abs(rebuilt - rho.mat)) <= 1e-10
 
     def test_dimension_check(self, rng):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(GmqdError, match="correlation matrix needs a 6x6 state, got 4"):
             correlation_matrix(random_density(4, rng))
 
 
@@ -226,7 +226,7 @@ class TestClosedForm:
 
     def test_unphysical_parameters_rejected(self):
         scenario = NoiseScenario(ChannelKind.DEPHASING, Locality.MULTI_LOCAL)
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(GmqdError, match="gives a="):
             gmqd_closed_form(scenario, 0.5, 0.9)
 
     def test_qubit_only_dephasing_is_linear_in_strength(self):
@@ -324,7 +324,7 @@ class TestOracle:
         assert result.value == pytest.approx(0.005, abs=1e-12)
 
     def test_restart_count_validated(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(GmqdError, match="restarts must be >= 1, got 0"):
             gmqd_oracle(family_state(0.2, 0.1), restarts=0)
 
     def test_agrees_with_spectral_value_on_random_states(self, rng):
@@ -382,7 +382,7 @@ class TestDakicTwoQubit:
                 assert np.max(np.abs(found - expected)) <= 1e-14
 
     def test_requires_two_qubit_state(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(GmqdError, match="two-qubit formula needs a 4x4 state, got 6"):
             gmqd_dakic_two_qubit(validate_density(np.eye(6) / 6))
 
     @pytest.mark.parametrize("z", [-1.0 / 3.0, 0.0, 0.5, 1.0])

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmqd.errors import (
-    GmqdError,
-    InvalidParametersError,
-    NonSquareError,
-    NotHermitianError,
-    NotPositiveError,
-    TraceNotOneError,
-)
+from gmqd.errors import GmqdError
 from gmqd.states import (
     DensityMatrix,
     TwoParamState,
@@ -35,30 +28,31 @@ class TestTwoParamState:
         assert 2 * p.a + 3 * p.b + p.c == pytest.approx(1.0, abs=1e-12)
 
     def test_from_bc_rejects_negative_a(self):
-        with pytest.raises(InvalidParametersError, match="gives a="):
+        with pytest.raises(GmqdError, match="gives a="):
             TwoParamState.from_bc(0.5, 0.9)
 
     def test_direct_entry_checks_constraint(self):
         TwoParamState(a=0.15, b=0.2, c=0.1)
-        with pytest.raises(InvalidParametersError, match="2a\\+3b\\+c"):
+        with pytest.raises(GmqdError, match="2a\\+3b\\+c must equal 1"):
             TwoParamState(a=0.3, b=0.2, c=0.1)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidParametersError, match="nonnegative"):
+        with pytest.raises(GmqdError, match="c must be nonnegative"):
             TwoParamState(a=0.55, b=0.1, c=-0.4)
 
     @given(bad=NON_FINITE, good=st.floats(0.0, 0.3), slot=st.integers(0, 1))
     def test_from_bc_rejects_non_finite(self, bad, good, slot):
         bc = [good, good]
         bc[slot] = bad
-        with pytest.raises(InvalidParametersError):
+        # b or c = +inf drives a to -inf, which the trace rule rejects first
+        with pytest.raises(GmqdError, match="weights must be finite|gives a="):
             TwoParamState.from_bc(*bc)
 
     @given(bad=NON_FINITE, slot=st.integers(0, 2))
     def test_direct_entry_rejects_non_finite(self, bad, slot):
         weights = [0.15, 0.2, 0.1]
         weights[slot] = bad
-        with pytest.raises(InvalidParametersError, match="finite"):
+        with pytest.raises(GmqdError, match="weights must be finite"):
             TwoParamState(*weights)
 
 
@@ -77,7 +71,7 @@ class TestBellStates:
         assert np.allclose(bell_state("psi+") @ bell_state("psi-"), np.zeros((6, 6)))
 
     def test_unknown_kind(self):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(GmqdError, match="unknown Bell state 'chi\\+'"):
             bell_state("chi+")
 
 
@@ -122,26 +116,26 @@ class TestValidateDensity:
         assert validate_density(np.eye(6) / 6).dim == 6
 
     def test_trace_not_one(self):
-        with pytest.raises(TraceNotOneError):
+        with pytest.raises(GmqdError, match="trace is 1.1, expected 1"):
             validate_density(np.diag([1.0, 0.1, 0, 0, 0, 0]))
 
     def test_not_psd(self):
-        with pytest.raises(NotPositiveError):
+        with pytest.raises(GmqdError, match="minimum eigenvalue -5.000e-01 below"):
             validate_density(np.diag([1.5, -0.5, 0, 0, 0, 0]))
 
     def test_not_hermitian(self):
         bad = np.eye(6, dtype=complex) / 6
         bad = bad.copy()
         bad[0, 1] = 0.3
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(GmqdError, match="deviation from Hermitian is 3.000e-01"):
             validate_density(bad)
 
     def test_not_square(self):
-        with pytest.raises(NonSquareError):
+        with pytest.raises(GmqdError, match="density matrix must be square"):
             validate_density(np.ones((2, 3)) / 6)
 
     def test_unsupported_dimension(self):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(GmqdError, match="unsupported dimension 5"):
             validate_density(np.eye(5) / 5)
 
     def test_matrix_is_frozen(self):
@@ -168,11 +162,11 @@ class TestWernerAndRandom:
         assert np.allclose(rho, expected)
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(GmqdError, match="Werner weight z=-0.4 outside"):
             werner_state(-0.4)
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(GmqdError, match="Werner weight z=1.1 outside"):
             werner_state(1.1)
-        with pytest.raises(InvalidParametersError, match="z=nan"):
+        with pytest.raises(GmqdError, match="Werner weight z=nan outside"):
             werner_state(math.nan)
 
     def test_random_density_valid(self, rng):

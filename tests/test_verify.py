@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gmqd import channels, cli, dynamics, measures, verify
 from gmqd.channels import ChannelKind
-from gmqd.errors import GmqdError, InvalidParametersError
+from gmqd.errors import GmqdError, check_count
 from gmqd.states import TwoParamState, initial_state
 
 ALL_CHECKS = 21
@@ -19,7 +20,7 @@ CLOSED_FORM_GROUPS = {
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(InvalidParametersError, match="seed must be nonnegative"):
+    with pytest.raises(GmqdError, match="seed must be >= 0, got -1"):
         verify.run_verification(seed=-1, quick=True)
 
 
@@ -40,9 +41,9 @@ def test_non_integer_counts_are_rejected(call):
 
 
 def test_numpy_integer_counts_pass():
-    measures.check_oracle_restarts(np.int32(4))
+    check_count(np.int32(4), "restarts", 1)
     assert len(dynamics.gamma_grid(np.int64(3))) == 3
-    verify.check_seed(np.uint8(2))
+    check_count(np.uint8(2), "seed", 0)
 
 
 def test_coefficient_tables_bound_the_c36_c39_pair(monkeypatch):
@@ -64,7 +65,7 @@ def test_coefficient_tables_bound_the_c36_c39_pair(monkeypatch):
 def shift_value(route, delta):
     def shifted(*args, **kwargs):
         result = route(*args, **kwargs)
-        if isinstance(result, float):
+        if isinstance(result, (float, np.ndarray)):
             return result + delta
         return dataclasses.replace(result, value=result.value + delta)
 
@@ -151,6 +152,20 @@ def reweighted(kind, squared_weights, at=lambda g: True):
      "(oracle fell below the numeric value)"),
     (verify, "gmqd_dakic_two_qubit", lambda f: shift_value(f, 1e-6), {"werner-cross-check"},
      "worst at b=0.05"),
+    # a route that returns NaN fails its checks, located at its first NaN;
+    # the NaN rows of the sweep path count as vanished in no-sudden-death
+    (dynamics, "gmqd_closed_form", lambda f: shift_value(f, math.nan), CLOSED_FORM_GROUPS,
+     "worst at b=0.2, c=0.1, gammas=(0.00,0.00)"),
+    (dynamics, "gmqd_numeric", lambda f: shift_value(f, math.nan),
+     CLOSED_FORM_GROUPS | {"no-sudden-death", "qutrit-endpoint-positivity"},
+     "worst at b=0.2, c=0.1, gammas=(0.00,0.00)"),
+    (verify, "closed_form_coefficients", lambda f: shift_value(f, math.nan),
+     {f"coefficient-tables/{kind.value}" for kind in ChannelKind},
+     "worst at b=0.2, c=0.1, gammas=(0.00,0.00)"),
+    (verify, "gmqd_oracle", lambda f: shift_value(f, math.nan), {"oracle-agreement"},
+     "worst at b=0.2123, c=0.09794, phase-flip/multi-local"),
+    (verify, "gmqd_dakic_two_qubit", lambda f: shift_value(f, math.nan), {"werner-cross-check"},
+     "worst at b=0.05"),
     # every check that reads run_sweep sees the zeroed row; the one-point
     # no-noise sweeps are zeroed whole
     (verify, "run_sweep", zero_interior_row,
@@ -167,7 +182,9 @@ def reweighted(kind, squared_weights, at=lambda g: True):
         "qubit-only-equivalence",
     }, "raised: Kraus completeness violated by"),
 ], ids=["basis", "qubit-weight", "qutrit-weight", "qutrit-endpoint",
-        "closed-form", "sweep-numeric", "oracle", "dakic", "sweep", "kraus-table"])
+        "closed-form", "sweep-numeric", "oracle", "dakic",
+        "closed-form-nan", "sweep-numeric-nan", "coefficient-tables-nan", "oracle-nan", "dakic-nan",
+        "sweep", "kraus-table"])
 def test_each_guarded_route_fails_its_checks(
     monkeypatch, capsys, tmp_path, module, attr, breaks, expected, first_detail
 ):
@@ -231,3 +248,18 @@ def test_cli_names_a_raised_check_over_a_larger_miss(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "error: verification failed at kraus-completeness\n" in captured.err
     assert "worst offender: kraus-completeness" in captured.out
+
+
+def test_a_nan_error_ranks_past_any_finite_miss_and_stays_strict_json():
+    missed = verify.CheckResult("missed", False, 1e-6, 1e-8, 10, "worst at b=0.2")
+    nan = verify.CheckResult("nan", False, math.nan, 1e-8, 3, "worst at b=0.1")
+    report = verify.VerificationReport("test", 0, True, (missed, nan))
+    assert report.worst_failure() is nan
+    assert report.lines()[-1] == "worst offender: nan (err nan)"
+
+    def no_constants(token):
+        raise AssertionError(f"report holds the non-JSON token {token}")
+
+    doc = json.loads(report.to_json(), parse_constant=no_constants)
+    assert [c["max_abs_error"] for c in doc["checks"]] == [1e-6, None]
+    assert doc["worst_offender"] == "nan"
