@@ -37,7 +37,6 @@ from .states import (
     bell_state,
     initial_state,
     random_density,
-    validate_density,
     werner_state,
 )
 from .verify import VerificationReport, run_verification
@@ -75,6 +74,5 @@ __all__ = [
     "run_verification",
     "standard_basis",
     "time_grid",
-    "validate_density",
     "werner_state",
 ]

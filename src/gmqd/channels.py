@@ -20,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GmqdError, check_nonnegative
-from .states import DensityMatrix, validate_density
+from .errors import GmqdError, check_gamma, check_nonnegative
+from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12
 
@@ -71,11 +71,6 @@ class Locality(Enum):
         )
 
 
-def _check_gamma(gamma: float, name: str) -> None:
-    if not 0.0 <= gamma <= 1.0:
-        raise GmqdError(f"{name} must lie in [0, 1], got {gamma!r}")
-
-
 @dataclass(frozen=True)
 class KrausSet:
     """Kraus operators for one subsystem, already embedded as 6x6 matrices.
@@ -117,8 +112,8 @@ class NoiseScenario:
     gamma_b: float = 0.0
 
     def __post_init__(self):
-        _check_gamma(self.gamma_a, "gamma_a")
-        _check_gamma(self.gamma_b, "gamma_b")
+        check_gamma(self.gamma_a, "gamma_a")
+        check_gamma(self.gamma_b, "gamma_b")
         if self.locality.pin(self.gamma_a, self.gamma_b) != (self.gamma_a, self.gamma_b):
             raise GmqdError(f"{self.locality.value} noise requires its idle side's strength to be 0")
 
@@ -128,6 +123,11 @@ def gamma_of_t(t: float, decay_rate: float) -> float:
     check_nonnegative(t, "time")
     check_nonnegative(decay_rate, "decay rate")
     return float(min(1.0, max(0.0, -np.expm1(-t * decay_rate))))
+
+
+def gammas_at_time(locality: Locality, t: float, rate_a: float, rate_b: float) -> tuple[float, float]:
+    """Strengths at time t: gamma_of_t on each side at its own rate, idle side pinned to 0."""
+    return locality.pin(gamma_of_t(t, rate_a), gamma_of_t(t, rate_b))
 
 
 # Every Kraus operator is K_n = sum_m coeffs[n, m] T_m over a fixed stack of
@@ -203,14 +203,14 @@ def _combine(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 def qubit_kraus(kind: ChannelKind, gamma_a: float) -> KrausSet:
     """Kraus set acting on the qubit, embedded as op (x) I3."""
-    _check_gamma(gamma_a, "gamma_a")
+    check_gamma(gamma_a, "gamma_a")
     ops = _combine(_qubit_coeffs(kind, gamma_a), _QUBIT_TERMS[kind])
     return KrausSet(ops)
 
 
 def qutrit_kraus(kind: ChannelKind, gamma_b: float) -> KrausSet:
     """Kraus set acting on the qutrit, embedded as I2 (x) op."""
-    _check_gamma(gamma_b, "gamma_b")
+    check_gamma(gamma_b, "gamma_b")
     ops = _combine(_qutrit_coeffs(kind, gamma_b), _QUTRIT_TERMS[kind])
     return KrausSet(ops)
 
@@ -223,15 +223,14 @@ def _apply_ops(mat: np.ndarray, ops: np.ndarray) -> np.ndarray:
 def apply_scenario(rho: DensityMatrix, scenario: NoiseScenario) -> DensityMatrix:
     """Evolve a 6x6 state through the scenario's Kraus operators.
 
-    Multi-local noise sums over both operator lists (the two sets act on
-    different tensor factors, so their order is irrelevant); local noise
-    applies a single list.  The output is revalidated as a density matrix.
+    Each side's operator list is applied when its strength is nonzero; a
+    zero-strength set is the identity.  The output is revalidated.
     """
     if rho.dim != 6:
         raise GmqdError(f"scenario application needs a 6x6 state, got {rho.dim}")
     mat = rho.mat
-    if scenario.locality is not Locality.QUTRIT_ONLY:
+    if scenario.gamma_a:
         mat = _apply_ops(mat, qubit_kraus(scenario.kind, scenario.gamma_a).ops)
-    if scenario.locality is not Locality.QUBIT_ONLY:
+    if scenario.gamma_b:
         mat = _apply_ops(mat, qutrit_kraus(scenario.kind, scenario.gamma_b).ops)
-    return validate_density(mat)
+    return DensityMatrix(mat)

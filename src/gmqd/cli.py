@@ -18,7 +18,7 @@ from .channels import (
     Locality,
     NoiseScenario,
     apply_scenario,
-    gamma_of_t,
+    gammas_at_time,
     qubit_kraus,
     qutrit_kraus,
 )
@@ -131,7 +131,7 @@ def _compute_scenario(args) -> NoiseScenario:
     if args.time is not None:
         if args.gamma_a is not None or args.gamma_b is not None:
             raise GmqdError("give either --time or explicit --gamma-a/--gamma-b, not both")
-        ga, gb = locality.pin(gamma_of_t(args.time, args.rate_a), gamma_of_t(args.time, args.rate_b))
+        ga, gb = gammas_at_time(locality, args.time, args.rate_a, args.rate_b)
     else:
         ga = args.gamma_a if args.gamma_a is not None else 0.0
         gb = args.gamma_b if args.gamma_b is not None else 0.0
@@ -287,14 +287,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--points", type=int, default=None,
         help="grid points (default 101; 33 per axis for independent gamma surfaces)",
     )
-    sweep.add_argument("--coupling", choices=("equal", "independent"), default="equal")
+    sweep.add_argument(
+        "--coupling", choices=("equal", "independent"), default="equal",
+        help="gamma axis: one strength for both sides (a line) or a grid per side "
+        "(a surface); recorded but unused on the time axis",
+    )
     sweep.add_argument("--t-max", type=float, default=DEFAULT_TIME_MAX, help="time-axis upper end")
     sweep.add_argument("--rate-a", type=float, default=1.0, help="qubit decay rate (time axis)")
-    sweep.add_argument(
-        "--rate-b", type=float, default=1.0,
-        help="qutrit decay rate (time axis, --coupling independent only; "
-        "under --coupling equal both sides use --rate-a)",
-    )
+    sweep.add_argument("--rate-b", type=float, default=1.0, help="qutrit decay rate (time axis)")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--output", default=None, help="output path (default: stdout)")

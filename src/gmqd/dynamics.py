@@ -9,8 +9,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .channels import Locality, NoiseScenario, apply_scenario, gamma_of_t
-from .errors import GmqdError, check_count, check_nonnegative
+from .channels import Locality, NoiseScenario, apply_scenario, gammas_at_time
+from .errors import GmqdError, check_count, check_gamma, check_nonnegative
 from .measures import gmqd_closed_form, gmqd_numeric
 from .states import TwoParamState, initial_state
 
@@ -49,12 +49,12 @@ class SweepSpec:
     """One sweep: scenario template, state parameters, axis and grid.
 
     ``scenario`` fixes the channel kind and locality; its gamma fields must be
-    0, since the grid sets both strengths point by point.  With
-    ``Coupling.EQUAL`` every active strength takes the grid value (time sweeps
-    use ``rate_a`` for both sides).
-    ``Coupling.INDEPENDENT`` on the gamma axis expands the grid to its
-    cartesian square (multi-local only, long-format rows); on the time axis it
-    applies the two decay rates separately.
+    0, since the grid sets both strengths point by point.  A time point t
+    gives the strengths ``gammas_at_time(locality, t, rate_a, rate_b)``.
+    ``coupling`` shapes only gamma-axis sweeps: ``Coupling.EQUAL`` gives every
+    active side the grid value, ``Coupling.INDEPENDENT`` expands the grid to
+    its cartesian square (multi-local only, long-format rows).  On the time
+    axis it is accepted and recorded, as the rates are on the gamma axis.
     """
 
     scenario: NoiseScenario
@@ -82,8 +82,9 @@ class SweepSpec:
             )
         if any(hi <= lo for lo, hi in zip(grid, grid[1:])):
             raise GmqdError("sweep grid must be strictly increasing")
-        if self.axis is SweepAxis.GAMMA and (grid[0] < 0.0 or grid[-1] > 1.0):
-            raise GmqdError("gamma grid must lie in [0, 1]")
+        if self.axis is SweepAxis.GAMMA:
+            check_gamma(grid[0], "gamma grid")
+            check_gamma(grid[-1], "gamma grid")
         if self.axis is SweepAxis.TIME and grid[0] < 0.0:
             raise GmqdError("time grid must be nonnegative")
         if (
@@ -121,9 +122,8 @@ def _grid_points(spec: SweepSpec) -> Iterator[tuple[Optional[float], float, floa
             for g in spec.grid:
                 yield None, *locality.pin(g, g)
     else:
-        rate_b = spec.rate_a if spec.coupling is Coupling.EQUAL else spec.rate_b
         for t in spec.grid:
-            yield t, *locality.pin(gamma_of_t(t, spec.rate_a), gamma_of_t(t, rate_b))
+            yield t, *gammas_at_time(locality, t, spec.rate_a, spec.rate_b)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

@@ -4,7 +4,7 @@ Every input or domain error gmqd raises is a :class:`GmqdError`, a
 ``ValueError`` whose message names the rule that failed; the CLI maps it to
 exit code 2.  A rule that more than one module applies lives here, once:
 :func:`check_count` for counts and seeds, :func:`check_nonnegative` for
-decay rates and times.
+decay rates and times, :func:`check_gamma` for channel strengths.
 """
 
 import math
@@ -31,3 +31,9 @@ def check_nonnegative(value: float, name: str) -> None:
         raise GmqdError(f"{name} must be finite, got {value!r}")
     if value < 0.0:
         raise GmqdError(f"{name} must be nonnegative, got {value!r}")
+
+
+def check_gamma(value: float, name: str) -> None:
+    """Reject a channel strength outside [0, 1], NaN included."""
+    if not 0.0 <= value <= 1.0:
+        raise GmqdError(f"{name} must lie in [0, 1], got {value!r}")

@@ -18,7 +18,7 @@ HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 
-ALLOWED_DIMS = (2, 3, 4, 6)
+ALLOWED_DIMS = (4, 6)  # two-qubit Werner states and the qubit-qutrit family
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -26,16 +26,6 @@ BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 def flat_index(qubit_level: int, qutrit_level: int) -> int:
     """Flat composite index of |i>_qubit |j>_qutrit."""
     return 3 * qubit_level + qutrit_level
-
-
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a nonempty 2-D complex array, rejecting NaN/Inf entries."""
-    mat = np.asarray(values, dtype=complex)
-    if mat.ndim != 2 or mat.size == 0:
-        raise GmqdError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
-    if not np.isfinite(mat.real).all() or not np.isfinite(mat.imag).all():
-        raise GmqdError("matrix entries must be finite")
-    return mat
 
 
 def bell_state(kind: str) -> np.ndarray:
@@ -58,6 +48,11 @@ def bell_state(kind: str) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
+def _check_finite_weights(**weights: float) -> None:
+    if not all(math.isfinite(v) for v in weights.values()):
+        raise GmqdError("weights must be finite, got " + ", ".join(f"{k}={v!r}" for k, v in weights.items()))
+
+
 @dataclass(frozen=True)
 class TwoParamState:
     """Weights (a, b, c) of the state family, tied by 2a + 3b + c = 1.
@@ -71,8 +66,7 @@ class TwoParamState:
     c: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
-            raise GmqdError(f"weights must be finite, got a={self.a!r}, b={self.b!r}, c={self.c!r}")
+        _check_finite_weights(a=self.a, b=self.b, c=self.c)
         total = 2.0 * self.a + 3.0 * self.b + self.c
         if abs(total - 1.0) > PARAM_TOL:
             raise GmqdError(
@@ -86,6 +80,7 @@ class TwoParamState:
     @classmethod
     def from_bc(cls, b: float, c: float) -> "TwoParamState":
         """Derive a = (1 - 3b - c)/2 from the trace constraint."""
+        _check_finite_weights(b=b, c=c)
         a = 0.5 * (1.0 - 3.0 * b - c)
         if a < -PARAM_TOL:
             raise GmqdError(f"2a+3b+c=1 gives a={a:.6g} < 0 for b={b:.6g}, c={c:.6g}")
@@ -94,12 +89,16 @@ class TwoParamState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated quantum state: Hermitian, unit trace, positive semidefinite."""
+    """A validated 4x4 or 6x6 quantum state: Hermitian, unit trace, positive semidefinite."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = as_matrix(self.mat).copy()
+        mat = np.array(self.mat, dtype=complex)
+        if mat.ndim != 2 or mat.size == 0:
+            raise GmqdError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise GmqdError("matrix entries must be finite")
         if mat.shape[0] != mat.shape[1]:
             raise GmqdError(f"density matrix must be square, got {mat.shape}")
         if mat.shape[0] not in ALLOWED_DIMS:
@@ -121,11 +120,6 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def validate_density(m) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positivity; wrap on success."""
-    return DensityMatrix(m)
-
-
 def initial_state(params: TwoParamState) -> DensityMatrix:
     """Family state a(|02><02| + |12><12|) + b(phi+ + phi- + psi+) + c psi-.
 
@@ -138,7 +132,7 @@ def initial_state(params: TwoParamState) -> DensityMatrix:
         rho[k, k] = params.a
     rho += params.b * (bell_state("phi+") + bell_state("phi-") + bell_state("psi+"))
     rho += params.c * bell_state("psi-")
-    return validate_density(rho)
+    return DensityMatrix(rho)
 
 
 def werner_state(z: float) -> DensityMatrix:
@@ -149,11 +143,11 @@ def werner_state(z: float) -> DensityMatrix:
     vec[1] = 1.0 / np.sqrt(2.0)
     vec[2] = -1.0 / np.sqrt(2.0)
     rho = z * np.outer(vec, vec.conj()) + (1.0 - z) * np.eye(4, dtype=complex) / 4.0
-    return validate_density(rho)
+    return DensityMatrix(rho)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank state from a complex Ginibre factor."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
-    return validate_density(rho / np.trace(rho).real)
+    return DensityMatrix(rho / np.trace(rho).real)

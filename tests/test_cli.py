@@ -246,6 +246,20 @@ class TestSweep:
         # a time-axis row carries t, and the two rates give the sides distinct strengths
         assert json_rows[1]["t"] > 0.0 and json_rows[1]["gamma_a"] != json_rows[1]["gamma_b"]
 
+    def test_time_axis_rows_ignore_coupling(self, capsys):
+        args = (
+            "sweep", "--b", "0.2", "--c", "0.1", "--axis", "time", "--rate-a", "0.7", "--rate-b", "1.9",
+            "--points", "7", "--format", "json",
+        )
+        docs = {}
+        for coupling in ("equal", "independent"):
+            code, out, _ = run_cli(capsys, *args, "--coupling", coupling)
+            assert code == 0
+            docs[coupling] = json.loads(out)
+        assert docs["equal"]["rows"] == docs["independent"]["rows"]
+        assert docs["equal"]["coupling"] == "equal" and docs["independent"]["coupling"] == "independent"
+        assert docs["equal"]["rows"][1]["gamma_a"] != docs["equal"]["rows"][1]["gamma_b"]
+
     def test_independent_surface_rows(self, capsys, tmp_path):
         out_file = tmp_path / "surface.csv"
         code, _, _ = run_cli(

@@ -41,8 +41,10 @@ class TestSweepSpecValidation:
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (0.0, 0.5, 0.5))
 
     def test_gamma_domain(self):
-        with pytest.raises(GmqdError, match="gamma grid must lie in \\[0, 1\\]"):
+        with pytest.raises(GmqdError, match="gamma grid must lie in \\[0, 1\\], got 1.2"):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (0.0, 1.2))
+        with pytest.raises(GmqdError, match="gamma grid must lie in \\[0, 1\\], got -0.1"):
+            spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (-0.1, 0.5))
 
     def test_negative_time(self):
         with pytest.raises(GmqdError, match="time grid must be nonnegative"):
@@ -140,10 +142,10 @@ class TestRunSweep:
         rows = run_sweep(spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, grid,
                                   axis=SweepAxis.TIME, rate_a=1.0, rate_b=2.0))
         assert [row.t for row in rows] == list(grid)
-        # equal coupling uses rate_a on both sides
+        # each side decays at its own rate, whatever the coupling
         for row in rows:
             assert row.gamma_a == pytest.approx(1.0 - np.exp(-row.t), abs=1e-15)
-            assert row.gamma_b == row.gamma_a
+            assert row.gamma_b == pytest.approx(1.0 - np.exp(-2.0 * row.t), abs=1e-15)
 
     def test_time_axis_independent_rates(self):
         grid = time_grid(points=4, t_max=2.0)

@@ -18,10 +18,10 @@ from gmqd.measures import (
     standard_basis,
 )
 from gmqd.states import (
+    DensityMatrix,
     TwoParamState,
     initial_state,
     random_density,
-    validate_density,
     werner_state,
 )
 
@@ -116,7 +116,7 @@ class TestCorrelationMatrix:
         assert coeffs[0, 6] == pytest.approx(0.288675, abs=1e-6)
 
     def test_maximally_mixed_has_only_identity_component(self):
-        coeffs = correlation_matrix(validate_density(np.eye(6) / 6))
+        coeffs = correlation_matrix(DensityMatrix(np.eye(6) / 6))
         expected = np.zeros((4, 9))
         expected[0, 0] = 1.0 / SQRT6
         assert np.max(np.abs(coeffs - expected)) <= 1e-15
@@ -146,7 +146,7 @@ class TestCorrelationMatrix:
 
 class TestGmqdNumeric:
     def test_maximally_mixed_is_classical(self):
-        result = gmqd_numeric(validate_density(np.eye(6) / 6))
+        result = gmqd_numeric(DensityMatrix(np.eye(6) / 6))
         assert result.value == pytest.approx(0.0, abs=1e-12)
 
     def test_noiseless_family_value(self):
@@ -160,7 +160,7 @@ class TestGmqdNumeric:
         scenario = NoiseScenario(ChannelKind.BIT_FLIP, Locality.MULTI_LOCAL, 0.3, 0.4)
         rho = apply_scenario(family_state(0.2, 0.1), scenario)
         u = np.kron(np.diag([1.0, np.exp(0.7j)]), np.eye(3))
-        rotated = validate_density(u @ rho.mat @ u.conj().T)
+        rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
         assert gmqd_numeric(rotated).value == pytest.approx(gmqd_numeric(rho).value, abs=1e-10)
 
     def test_angles_reported_in_range(self, rng):
@@ -310,13 +310,13 @@ class TestOracle:
         assert gmqd_oracle(rho).value == pytest.approx(expected, abs=1e-12)
 
     def test_maximally_mixed(self):
-        result = gmqd_oracle(validate_density(np.eye(6) / 6), restarts=8)
+        result = gmqd_oracle(DensityMatrix(np.eye(6) / 6), restarts=8)
         assert result.value == pytest.approx(0.0, abs=1e-6)
 
     def test_pure_product_state(self):
         mat = np.zeros((6, 6), dtype=complex)
         mat[2, 2] = 1.0
-        result = gmqd_oracle(validate_density(mat), restarts=8)
+        result = gmqd_oracle(DensityMatrix(mat), restarts=8)
         assert result.value == pytest.approx(0.0, abs=1e-6)
 
     def test_noiseless_family(self):
@@ -351,7 +351,7 @@ def test_routes_invariant_under_local_unitaries(rng):
     for _ in range(20):
         rho = random_density(6, rng)
         w = np.kron(haar_unitary(2, rng), haar_unitary(3, rng))
-        rotated = validate_density(w @ rho.mat @ w.conj().T)
+        rotated = DensityMatrix(w @ rho.mat @ w.conj().T)
         assert gmqd_numeric(rotated).value == pytest.approx(gmqd_numeric(rho).value, abs=1e-12)
         assert gmqd_oracle(rotated, restarts=8).value == pytest.approx(
             gmqd_oracle(rho, restarts=8).value, abs=1e-12
@@ -365,7 +365,7 @@ class TestDakicTwoQubit:
     def test_product_state(self):
         mat = np.zeros((4, 4), dtype=complex)
         mat[0, 0] = 1.0
-        assert gmqd_dakic_two_qubit(validate_density(mat)).value == pytest.approx(0.0, abs=1e-12)
+        assert gmqd_dakic_two_qubit(DensityMatrix(mat)).value == pytest.approx(0.0, abs=1e-12)
 
     def test_werner_midpoint(self):
         assert gmqd_dakic_two_qubit(werner_state(0.5)).value == pytest.approx(0.125, abs=1e-12)
@@ -383,7 +383,7 @@ class TestDakicTwoQubit:
 
     def test_requires_two_qubit_state(self):
         with pytest.raises(GmqdError, match="two-qubit formula needs a 4x4 state, got 6"):
-            gmqd_dakic_two_qubit(validate_density(np.eye(6) / 6))
+            gmqd_dakic_two_qubit(DensityMatrix(np.eye(6) / 6))
 
     @pytest.mark.parametrize("z", [-1.0 / 3.0, 0.0, 0.5, 1.0])
     def test_werner_states_are_degenerate_at_the_pole(self, z):
