@@ -7,6 +7,7 @@ from .channels import (
     Locality,
     NoiseScenario,
     apply_scenario,
+    evolve,
     gamma_of_t,
     qubit_kraus,
     qutrit_kraus,
@@ -60,6 +61,7 @@ __all__ = [
     "bell_state",
     "closed_form_coefficients",
     "correlation_matrix",
+    "evolve",
     "gamma_grid",
     "gamma_of_t",
     "gmqd_closed_form",

@@ -3,7 +3,9 @@
 Each constructor returns the full operator list for one channel strength
 gamma in [0, 1], pre-embedded in the composite 6x6 space (qubit operators as
 op (x) I3, qutrit operators as I2 (x) op) so application code is uniform.
-Operator counts per kind:
+:func:`evolve` applies them to an (N, 6, 6) stack of states, each at its own
+pair of strengths, building and checking one set per distinct strength;
+:func:`apply_scenario` is its one-state call.  Operator counts per kind:
 
     kind              qubit ops   qutrit ops
     dephasing         2           3
@@ -20,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GmqdError, check_gamma, check_nonnegative
+from .errors import GmqdError, check_gamma, check_nonnegative, reject_first
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12
@@ -76,9 +78,9 @@ class KrausSet:
     """Kraus operators for one subsystem, already embedded as 6x6 matrices.
 
     ``ops`` is a read-only (n, 6, 6) stack; any sequence of 6x6 operators is
-    accepted.  Completeness sum_k K_k^dag K_k = I6 is enforced at construction
-    to COMPLETENESS_TOL; ``completeness_error`` records the largest entry of
-    |sum_k K_k^dag K_k - I6|.
+    accepted.  Completeness is enforced at construction by
+    :func:`_completeness_error`, the rule :func:`evolve` also applies;
+    ``completeness_error`` records its value.
     """
 
     ops: np.ndarray
@@ -90,16 +92,24 @@ class KrausSet:
             raise GmqdError("Kraus set must be a nonempty sequence of matrices")
         if ops.shape[1:] != (6, 6):
             raise GmqdError(f"Kraus operators must be 6x6, got {ops.shape[1:]}")
-        if not np.isfinite(ops).all():
-            raise GmqdError("Kraus operator entries must be finite")
-        rows = ops.reshape(-1, 6)  # the operators stacked vertically
-        acc = rows.conj().T @ rows
-        deviation = float(np.max(np.abs(acc - _I6)))
-        if deviation > COMPLETENESS_TOL:
-            raise GmqdError(f"Kraus completeness violated by {deviation:.3e}")
+        deviation = float(_completeness_error(ops))
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "completeness_error", deviation)
+
+
+def _completeness_error(ops: np.ndarray) -> np.ndarray:
+    """Largest entry of |sum_k K_k^dag K_k - I6| for each set in a (..., n, 6, 6) stack.
+
+    The one rule every Kraus set passes: finite entries, and a deviation
+    within COMPLETENESS_TOL.
+    """
+    if not np.isfinite(ops).all():
+        raise GmqdError("Kraus operator entries must be finite")
+    rows = ops.reshape(ops.shape[:-3] + (-1, 6))  # each set's operators stacked vertically
+    deviation = np.max(np.abs(rows.conj().swapaxes(-1, -2) @ rows - _I6), axis=(-2, -1))
+    reject_first(deviation > COMPLETENESS_TOL, deviation, "Kraus completeness violated by {:.3e}")
+    return deviation
 
 
 @dataclass(frozen=True)
@@ -197,8 +207,8 @@ def _qutrit_coeffs(kind: ChannelKind, g: float) -> np.ndarray:
 
 
 def _combine(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """The (n, 6, 6) stack sum_m coeffs[n, m] terms[m]."""
-    return (coeffs @ terms.reshape(len(terms), 36)).reshape(-1, 6, 6)
+    """The (..., n, 6, 6) stack sum_m coeffs[..., n, m] terms[m]."""
+    return (coeffs @ terms.reshape(len(terms), 36)).reshape(coeffs.shape[:-1] + (6, 6))
 
 
 def qubit_kraus(kind: ChannelKind, gamma_a: float) -> KrausSet:
@@ -215,22 +225,45 @@ def qutrit_kraus(kind: ChannelKind, gamma_b: float) -> KrausSet:
     return KrausSet(ops)
 
 
-def _apply_ops(mat: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """sum_k K_k mat K_k^dag over an (n, 6, 6) stack of operators."""
-    return (ops @ mat @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+def _apply_ops(mats: np.ndarray, ops: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """sum_k K_k mat K_k^dag for each (6, 6) mat of a stack, with the (n, 6, 6) set ops[which[i]] on mat i."""
+    picked = ops[which]
+    left = picked @ mats[:, None]
+    np.conjugate(picked, out=picked)  # in place: one (N, n, 6, 6) array fewer alive
+    return (left @ picked.swapaxes(-1, -2)).sum(axis=1)
 
 
-def apply_scenario(rho: DensityMatrix, scenario: NoiseScenario) -> DensityMatrix:
-    """Evolve a 6x6 state through the scenario's Kraus operators.
+def evolve(rho: DensityMatrix, kind: ChannelKind, gamma_a, gamma_b) -> DensityMatrix:
+    """Evolve states through the kind's qubit channel, then its qutrit channel.
 
-    Each side's operator list is applied when its strength is nonzero; a
-    zero-strength set is the identity.  The output is revalidated.
+    ``rho`` is one 6x6 state or an (N, 6, 6) stack; the strengths
+    ``gamma_a`` (qubit) and ``gamma_b`` (qutrit) are numbers or arrays,
+    broadcast against the stack, so one state with N strength pairs gives
+    N states.  A side acts on a state where its strength is nonzero; where
+    it is 0 the state keeps its matrix exactly.  One Kraus set is built and
+    checked per distinct nonzero strength.  The output is revalidated.
     """
     if rho.dim != 6:
         raise GmqdError(f"scenario application needs a 6x6 state, got {rho.dim}")
-    mat = rho.mat
-    if scenario.gamma_a:
-        mat = _apply_ops(mat, qubit_kraus(scenario.kind, scenario.gamma_a).ops)
-    if scenario.gamma_b:
-        mat = _apply_ops(mat, qutrit_kraus(scenario.kind, scenario.gamma_b).ops)
-    return DensityMatrix(mat)
+    shape = np.broadcast_shapes(rho.mat.shape[:-2], np.shape(gamma_a), np.shape(gamma_b))
+    mats = np.array(np.broadcast_to(rho.mat, shape + (6, 6))).reshape(-1, 6, 6)
+    for name, gammas, make_coeffs, terms in (
+        ("gamma_a", gamma_a, _qubit_coeffs, _QUBIT_TERMS[kind]),
+        ("gamma_b", gamma_b, _qutrit_coeffs, _QUTRIT_TERMS[kind]),
+    ):
+        gammas = np.broadcast_to(np.asarray(gammas, dtype=float), shape).ravel()
+        active = np.flatnonzero(gammas)
+        if active.size:
+            strengths, which = np.unique(gammas[active], return_inverse=True)
+            strengths = strengths.tolist()
+            for g in strengths:
+                check_gamma(g, name)
+            ops = _combine(np.stack([make_coeffs(kind, g) for g in strengths]), terms)
+            _completeness_error(ops)
+            mats[active] = _apply_ops(mats[active], ops, which)
+    return DensityMatrix(mats.reshape(shape + (6, 6)))
+
+
+def apply_scenario(rho: DensityMatrix, scenario: NoiseScenario) -> DensityMatrix:
+    """Evolve a 6x6 state through the scenario's channels: the one-state call of :func:`evolve`."""
+    return evolve(rho, scenario.kind, scenario.gamma_a, scenario.gamma_b)

@@ -4,7 +4,8 @@ Every input or domain error gmqd raises is a :class:`GmqdError`, a
 ``ValueError`` whose message names the rule that failed; the CLI maps it to
 exit code 2.  A rule that more than one module applies lives here, once:
 :func:`check_count` for counts and seeds, :func:`check_nonnegative` for
-decay rates and times, :func:`check_gamma` for channel strengths.
+decay rates and times, :func:`check_gamma` for channel strengths, and
+:func:`reject_first` for a rule applied to a stack of states or channels.
 """
 
 import math
@@ -37,3 +38,9 @@ def check_gamma(value: float, name: str) -> None:
     """Reject a channel strength outside [0, 1], NaN included."""
     if not 0.0 <= value <= 1.0:
         raise GmqdError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def reject_first(bad, values, message: str) -> None:
+    """Raise ``message`` formatted with the first value flagged ``bad`` (equal-shape arrays, 0-d for one)."""
+    if bad.any():
+        raise GmqdError(message.format(float(values[bad][0])))

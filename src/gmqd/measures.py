@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import PAULI, ChannelKind, NoiseScenario
-from .errors import GmqdError, check_count
+from .errors import GmqdError, check_count, reject_first
 from .states import DensityMatrix, TwoParamState
 
 SQRT2 = np.sqrt(2.0)
@@ -58,7 +58,9 @@ class GmqdResult:
 
     ``clamped`` records that a tiny negative from roundoff was zeroed.
     ``degenerate`` records that the optimal measurement is not unique, so the
-    angles are a conventional choice among equally good ones.
+    angles are a conventional choice among equally good ones.  For one state
+    the fields are floats and bools; for an (N, 6, 6) stack they are
+    length-N arrays, entry i belonging to state i.
     """
 
     value: float
@@ -108,56 +110,64 @@ def _product_basis() -> np.ndarray:
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """4x9 real matrix of overlaps tr(rho X_i (x) Y_j) with the standard basis.
 
-    Row/column labels are 1-based (i in 1..4, j in 1..9) in documentation and
-    output; storage is 0-based.  The (1, 1) entry equals 1/sqrt(6) for any
-    unit-trace state.
+    A stack of N states gives an (N, 4, 9) stack.  Row/column labels are
+    1-based (i in 1..4, j in 1..9) in documentation and output; storage is
+    0-based.  The (1, 1) entry equals 1/sqrt(6) for any unit-trace state.
     """
     if rho.dim != 6:
         raise GmqdError(f"correlation matrix needs a 6x6 state, got {rho.dim}")
-    coeffs = np.einsum("kij,ji->k", _product_basis(), rho.mat)
+    coeffs = np.einsum("kij,...ji->...k", _product_basis(), rho.mat)
     worst = float(np.max(np.abs(coeffs.imag)))
     if worst > COEFF_IMAG_TOL:
         raise GmqdError(f"correlation coefficients have imaginary parts up to {worst:.3e}")
-    return coeffs.real.reshape(4, 9).copy()
+    return coeffs.real.reshape(coeffs.shape[:-1] + (4, 9)).copy()
 
 
-def _angles_from_direction(e: np.ndarray) -> tuple[float, float]:
-    theta = 0.5 * np.arccos(np.clip(e[2], -1.0, 1.0))
-    if np.hypot(e[0], e[1]) < 1e-12:
-        return float(theta), 0.0
-    return float(theta), float(np.arctan2(e[1], e[0]) % (2.0 * np.pi))
+def _angles_from_direction(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis angles (theta, phi) of each unit Bloch direction in a (..., 3) array."""
+    theta = 0.5 * np.arccos(np.clip(e[..., 2], -1.0, 1.0))
+    phi = np.arctan2(e[..., 1], e[..., 0]) % (2.0 * np.pi)
+    return theta, np.where(np.hypot(e[..., 0], e[..., 1]) < 1e-12, 0.0, phi)
 
 
 def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     """Map arbitrary angles to theta in [0, pi/2], phi in [0, 2*pi)."""
     s2 = np.sin(2.0 * theta)
     e = np.array([s2 * np.cos(phi), s2 * np.sin(phi), np.cos(2.0 * theta)])
-    return _angles_from_direction(e)
+    theta, phi = _angles_from_direction(e)
+    return float(theta), float(phi)
 
 
-def _clamped(raw: float) -> tuple[float, bool]:
-    if raw >= 0.0:
-        return raw, False
-    if raw >= -VALUE_CLAMP_TOL:
-        return 0.0, True
-    raise GmqdError(f"discord value {raw!r} below the roundoff clamp window")
+def _clamped(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each raw value with a roundoff negative zeroed, and which were; raises below the window."""
+    reject_first(~(raw >= -VALUE_CLAMP_TOL), raw, "discord value {!r} below the roundoff clamp window")
+    clamped = raw < 0.0
+    return np.where(clamped, 0.0, raw), clamped
 
 
-def _top_direction(evals: np.ndarray, evecs: np.ndarray) -> tuple[np.ndarray, bool]:
+def _top_direction(evals: np.ndarray, evecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit vector of the top eigenspace closest to +z, and whether that space is degenerate.
 
-    The eigenspace holds every eigenvector whose eigenvalue lies within
-    DEGENERACY_TOL of the largest.  When it is orthogonal to z the choice
-    falls back to x, then y.  This also fixes the sign of a non-degenerate
-    eigenvector, so equal inputs report equal angles.
+    Takes (..., 3) eigenvalues in ascending order and their (..., 3, 3)
+    eigenvector columns.  The eigenspace holds every eigenvector whose
+    eigenvalue lies within DEGENERACY_TOL of the largest.  When it is
+    orthogonal to z the choice falls back to x, then y.  This also fixes the
+    sign of a non-degenerate eigenvector, so equal inputs report equal angles.
     """
-    top = evecs[:, evals >= evals[-1] - DEGENERACY_TOL]
-    for axis in (2, 0, 1):
-        proj = top @ top[axis]
-        norm = float(np.linalg.norm(proj))
-        if norm > ORTHOGONAL_TOL:
-            break
-    return proj / norm, top.shape[1] > 1
+    in_top = evals >= evals[..., -1:] - DEGENERACY_TOL
+    top = np.where(in_top[..., None, :], evecs, 0.0)
+
+    def projection(axis):
+        # the norm is taken by matmul, whose vector dot sums as np.linalg.norm does
+        p = top @ top[..., axis, :, None]
+        return p, np.sqrt(p.swapaxes(-1, -2) @ p)
+
+    proj, norm = projection(1)
+    for axis in (0, 2):  # x, then z, take over wherever their projection is long enough
+        p, n = projection(axis)
+        keep = n > ORTHOGONAL_TOL
+        proj, norm = np.where(keep, p, proj), np.where(keep, n, norm)
+    return (proj / norm)[..., 0], in_top.sum(axis=-1) > 1
 
 
 def gmqd_numeric(rho: DensityMatrix) -> GmqdResult:
@@ -165,17 +175,18 @@ def gmqd_numeric(rho: DensityMatrix) -> GmqdResult:
 
     The value is the sum of the two smaller eigenvalues; the argmax angles are
     those of the top eigenvector (see :func:`_top_direction` for degenerate
-    spectra).
+    spectra).  A stack of states is scored at once, with one batched ``eigh``,
+    and gives a :class:`GmqdResult` of arrays; one state gives floats.
     """
     coeffs = correlation_matrix(rho)
-    gram = coeffs @ coeffs.T
-    evals, evecs = np.linalg.eigh(gram[1:, 1:])
-    value, clamped = _clamped(float(evals[0] + evals[1]))
+    gram = coeffs @ coeffs.swapaxes(-1, -2)
+    evals, evecs = np.linalg.eigh(gram[..., 1:, 1:])
+    value, clamped = _clamped(evals[..., 0] + evals[..., 1])
     direction, degenerate = _top_direction(evals, evecs)
     theta, phi = _angles_from_direction(direction)
-    return GmqdResult(
-        value=value, argmax_theta=theta, argmax_phi=phi, clamped=clamped, degenerate=degenerate,
-    )
+    if rho.mat.ndim == 2:
+        return GmqdResult(float(value), float(theta), float(phi), bool(clamped), bool(degenerate))
+    return GmqdResult(value, theta, phi, clamped, degenerate)
 
 
 def _qubit_decay(kind: ChannelKind, g: float) -> float:
@@ -268,6 +279,13 @@ def _pinching_distance(rho_mat: np.ndarray, theta: np.ndarray, phi: np.ndarray) 
     return 2.0 * np.sum(np.abs(weights @ blocks) ** 2, axis=-1)
 
 
+def _check_one_state(rho: DensityMatrix, dim: int, route: str) -> None:
+    if rho.mat.ndim != 2:
+        raise GmqdError(f"{route} needs one state, got a stack of {len(rho.mat)}")
+    if rho.dim != dim:
+        raise GmqdError(f"{route} needs a {dim}x{dim} state, got {rho.dim}")
+
+
 _PATTERN = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
@@ -282,8 +300,7 @@ def gmqd_oracle(rho: DensityMatrix, restarts: int = ORACLE_DEFAULT_RESTARTS) -> 
     improves, down to ORACLE_STEP_TOL.  Deterministic for a given input.  This
     route is deliberately independent of the correlation-matrix machinery.
     """
-    if rho.dim != 6:
-        raise GmqdError(f"oracle needs a 6x6 state, got {rho.dim}")
+    _check_one_state(rho, 6, "oracle")
     check_count(restarts, "restarts", 1)
 
     thetas, phis = np.meshgrid(
@@ -329,15 +346,11 @@ def gmqd_dakic_two_qubit(rho: DensityMatrix) -> GmqdResult:
     The angles follow the same convention as :func:`gmqd_numeric` (see
     :func:`_top_direction`).
     """
-    if rho.dim != 4:
-        raise GmqdError(f"two-qubit formula needs a 4x4 state, got {rho.dim}")
+    _check_one_state(rho, 4, "two-qubit formula")
     bloch, corr = _pauli_components(rho.mat)
     k = np.outer(bloch, bloch) + corr @ corr.T
     evals, evecs = np.linalg.eigh(k)
-    raw = 0.25 * (float(bloch @ bloch) + float(np.sum(corr * corr)) - float(evals[-1]))
-    value, clamped = _clamped(raw)
+    value, clamped = _clamped(0.25 * (bloch @ bloch + np.sum(corr * corr) - evals[-1]))
     direction, degenerate = _top_direction(evals, evecs)
     theta, phi = _angles_from_direction(direction)
-    return GmqdResult(
-        value=value, argmax_theta=theta, argmax_phi=phi, clamped=clamped, degenerate=degenerate,
-    )
+    return GmqdResult(float(value), float(theta), float(phi), bool(clamped), bool(degenerate))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GmqdError
+from .errors import GmqdError, reject_first
 
 PARAM_TOL = 1e-12
 HERMITIAN_TOL = 1e-9
@@ -89,35 +89,36 @@ class TwoParamState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated 4x4 or 6x6 quantum state: Hermitian, unit trace, positive semidefinite."""
+    """A validated 4x4 or 6x6 quantum state, or an (N, d, d) stack of them.
+
+    Each state must be Hermitian, of unit trace and positive semidefinite; in
+    a stack, the first that is not is named as a single state would be.
+    """
 
     mat: np.ndarray
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
-        if mat.ndim != 2 or mat.size == 0:
-            raise GmqdError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
+        if mat.ndim not in (2, 3) or mat.size == 0:
+            raise GmqdError(f"expected a nonempty 2-D matrix or 3-D stack, got shape {mat.shape}")
         if not np.isfinite(mat).all():
             raise GmqdError("matrix entries must be finite")
-        if mat.shape[0] != mat.shape[1]:
-            raise GmqdError(f"density matrix must be square, got {mat.shape}")
-        if mat.shape[0] not in ALLOWED_DIMS:
-            raise GmqdError(f"unsupported dimension {mat.shape[0]}; expected one of {ALLOWED_DIMS}")
-        deviation = float(np.max(np.abs(mat - mat.conj().T)))
-        if deviation > HERMITIAN_TOL:
-            raise GmqdError(f"deviation from Hermitian is {deviation:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise GmqdError(f"trace is {tr.real:.12g}, expected 1")
-        lowest = float(np.linalg.eigvalsh(mat)[0])
-        if lowest < -PSD_TOL:
-            raise GmqdError(f"minimum eigenvalue {lowest:.3e} below -{PSD_TOL:g}")
+        if mat.shape[-2] != mat.shape[-1]:
+            raise GmqdError(f"density matrix must be square, got {mat.shape[-2:]}")
+        if mat.shape[-1] not in ALLOWED_DIMS:
+            raise GmqdError(f"unsupported dimension {mat.shape[-1]}; expected one of {ALLOWED_DIMS}")
+        deviation = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        reject_first(deviation > HERMITIAN_TOL, deviation, "deviation from Hermitian is {:.3e}")
+        tr = np.trace(mat, axis1=-2, axis2=-1)
+        reject_first(np.abs(tr - 1.0) > TRACE_TOL, tr.real, "trace is {:.12g}, expected 1")
+        lowest = np.linalg.eigvalsh(mat)[..., 0]
+        reject_first(lowest < -PSD_TOL, lowest, f"minimum eigenvalue {{:.3e}} below -{PSD_TOL:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
 
 def initial_state(params: TwoParamState) -> DensityMatrix:

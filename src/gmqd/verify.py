@@ -14,7 +14,8 @@ suite finishes in well under a second.
 ``qutrit-endpoint-positivity`` read the rows of
 :func:`gmqd.dynamics.run_sweep`, the path ``gmqd sweep`` runs, so they check
 that path itself.  The coefficient-table, oracle, Werner and equivalence
-checks call the routes directly and stay references independent of it.
+checks call the routes directly, one state at a time, rather than through
+it.
 """
 
 from __future__ import annotations

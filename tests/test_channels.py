@@ -11,6 +11,7 @@ from gmqd.channels import (
     Locality,
     NoiseScenario,
     apply_scenario,
+    evolve,
     gamma_of_t,
     qubit_kraus,
     qutrit_kraus,
@@ -219,13 +220,31 @@ class TestApplyScenario:
         out = apply_scenario(rho, NoiseScenario(scenario.kind, scenario.locality, ga, gb))
         assert np.max(np.abs(out.mat - expected)) <= 1e-15
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_evolve_keeps_each_zero_strength_side_exactly(self, kind, rng):
+        rho = random_density(6, rng)
+        gamma_a = [0.0, 0.3, 0.0, 0.3, 1.0, 0.0]
+        gamma_b = [0.0, 0.0, 0.6, 0.6, 0.0, 1.0]
+        out = evolve(rho, kind, gamma_a, gamma_b)
+        assert out.mat.shape == (6, 6, 6)
+        assert out.mat[0].tobytes() == rho.mat.tobytes()
+        for mat, ga, gb in zip(out.mat, gamma_a, gamma_b):
+            one = apply_scenario(rho, NoiseScenario(kind, Locality.MULTI_LOCAL, ga, gb))
+            assert mat.tobytes() == one.mat.tobytes()
+
+    def test_evolve_checks_every_strength(self):
+        rho = DensityMatrix(np.eye(6) / 6)
+        with pytest.raises(GmqdError, match="gamma_b must lie in \\[0, 1\\], got 1.5"):
+            evolve(rho, ChannelKind.DEPHASING, [0.2, 0.4], [0.3, 1.5])
+
     def test_subsystem_application_order_is_irrelevant(self, rng):
         from gmqd.channels import _apply_ops
 
         for kind in ALL_KINDS:
-            rho = random_density(6, rng).mat
-            e_ops = qubit_kraus(kind, 0.35).ops
-            f_ops = qutrit_kraus(kind, 0.55).ops
-            ef = _apply_ops(_apply_ops(rho, e_ops), f_ops)
-            fe = _apply_ops(_apply_ops(rho, f_ops), e_ops)
+            rho = random_density(6, rng).mat[None]
+            e_ops = qubit_kraus(kind, 0.35).ops[None]
+            f_ops = qutrit_kraus(kind, 0.55).ops[None]
+            first = np.zeros(1, dtype=int)
+            ef = _apply_ops(_apply_ops(rho, e_ops, first), f_ops, first)
+            fe = _apply_ops(_apply_ops(rho, f_ops, first), e_ops, first)
             assert np.max(np.abs(ef - fe)) <= 1e-12

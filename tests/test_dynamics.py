@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmqd.channels import ChannelKind, Locality, NoiseScenario
+from gmqd.channels import ChannelKind, Locality, NoiseScenario, apply_scenario
 from gmqd.dynamics import (
+    SWEEP_CHUNK,
     Coupling,
     SweepAxis,
     SweepSpec,
@@ -16,7 +17,8 @@ from gmqd.dynamics import (
     time_grid,
 )
 from gmqd.errors import GmqdError
-from gmqd.measures import gmqd_closed_form
+from gmqd.measures import gmqd_closed_form, gmqd_numeric
+from gmqd.states import TwoParamState, initial_state
 
 NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
 
@@ -47,7 +49,7 @@ class TestSweepSpecValidation:
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (-0.1, 0.5))
 
     def test_negative_time(self):
-        with pytest.raises(GmqdError, match="time grid must be nonnegative"):
+        with pytest.raises(GmqdError, match="time grid must be nonnegative, got -1.0"):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, (-1.0, 0.0),
                      axis=SweepAxis.TIME)
 
@@ -154,6 +156,28 @@ class TestRunSweep:
                                   rate_a=1.0, rate_b=3.0))
         for row in rows:
             assert row.gamma_b == pytest.approx(1.0 - np.exp(-3.0 * row.t), abs=1e-15)
+
+    @pytest.mark.parametrize("scenario, shape", [
+        (scenario, shape) for scenario in ALL_SCENARIOS for shape in ("gamma", "time", "surface")
+        if shape != "surface" or scenario.locality is Locality.MULTI_LOCAL
+    ], ids=lambda x: x if isinstance(x, str) else f"{x.kind.value}/{x.locality.value}")
+    def test_rows_equal_their_points_evaluated_one_by_one(self, scenario, shape):
+        # every shape spans more than two chunks, the last one partial
+        if shape == "surface":
+            spec = spec_for(scenario.kind, scenario.locality, gamma_grid(7), coupling=Coupling.INDEPENDENT)
+        elif shape == "time":
+            spec = spec_for(scenario.kind, scenario.locality, time_grid(2 * SWEEP_CHUNK + 3, 8.0),
+                            axis=SweepAxis.TIME, rate_a=0.7, rate_b=1.9)
+        else:
+            spec = spec_for(scenario.kind, scenario.locality, gamma_grid(2 * SWEEP_CHUNK + 3))
+        rows = run_sweep(spec)
+        assert len(rows) > 2 * SWEEP_CHUNK
+        state = initial_state(TwoParamState.from_bc(spec.b, spec.c))
+        for row in rows:
+            point = NoiseScenario(scenario.kind, scenario.locality, row.gamma_a, row.gamma_b)
+            one = gmqd_numeric(apply_scenario(state, point)).value
+            assert np.float64(row.d_numeric).tobytes() == np.float64(one).tobytes()
+            assert row.d_closed == gmqd_closed_form(point, spec.b, spec.c)
 
     def test_independent_gamma_surface_order(self):
         grid = (0.0, 0.5, 1.0)

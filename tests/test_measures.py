@@ -206,6 +206,40 @@ class TestGmqdNumeric:
         assert result.argmax_theta == pytest.approx(np.pi / 4, abs=1e-12)
         assert result.argmax_phi == 0.0
 
+    def test_a_stack_scores_as_its_states_do_one_by_one(self, rng):
+        states = [random_density(6, rng) for _ in range(40)]
+        # the noiseless family and depolarizing noise sit on degenerate spectra
+        states += [family_state(*bc) for bc in ((0.2, 0.1), (1.0 / 3.0, 0.0), (0.25, 0.25))]
+        states += [
+            apply_scenario(family_state(0.2, 0.1), NoiseScenario(kind, locality, *locality.pin(g, g)))
+            for kind in ChannelKind for locality in Locality for g in (0.4, 1.0)
+        ]
+        stacked = gmqd_numeric(DensityMatrix(np.stack([state.mat for state in states])))
+        fields = ("value", "argmax_theta", "argmax_phi", "clamped", "degenerate")
+        assert all(getattr(stacked, f).shape == (len(states),) for f in fields)
+        assert stacked.degenerate.sum() >= 4
+        for i, state in enumerate(states):
+            one = gmqd_numeric(state)
+            assert isinstance(one.value, float) and isinstance(one.degenerate, bool)
+            expected = np.array([getattr(one, f) for f in fields], dtype=float)
+            assert np.array([getattr(stacked, f)[i] for f in fields], dtype=float).tobytes() == expected.tobytes()
+
+    def test_a_stack_gives_a_stack_of_correlation_matrices(self, rng):
+        states = [random_density(6, rng) for _ in range(3)]
+        stacked = correlation_matrix(DensityMatrix(np.stack([state.mat for state in states])))
+        assert stacked.shape == (3, 4, 9)
+        for found, state in zip(stacked, states):
+            assert found.tobytes() == correlation_matrix(state).tobytes()
+
+
+@pytest.mark.parametrize("route, dim, message", [
+    (gmqd_oracle, 6, "oracle needs one state, got a stack of 2"),
+    (gmqd_dakic_two_qubit, 4, "two-qubit formula needs one state, got a stack of 2"),
+], ids=["oracle", "dakic"])
+def test_single_state_routes_reject_a_stack(route, dim, message):
+    with pytest.raises(GmqdError, match=message):
+        route(DensityMatrix(np.stack([np.eye(dim) / dim] * 2)))
+
 
 class TestClosedForm:
     def test_multilocal_dephasing_midpoint(self):

@@ -136,6 +136,24 @@ class TestDensityMatrix:
         with pytest.raises(GmqdError, match=f"unsupported dimension {dim}"):
             DensityMatrix(np.eye(dim) / dim)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.diag([1.0, 0.1, 0, 0, 0, 0]), "trace is 1.1, expected 1"),
+        (np.diag([1.5, -0.5, 0, 0, 0, 0]), "minimum eigenvalue -5.000e-01 below"),
+        (np.eye(6) / 6 + 0.3 * np.eye(6, k=1), "deviation from Hermitian is 3.000e-01"),
+    ], ids=["trace", "psd", "hermitian"])
+    @pytest.mark.parametrize("member", [0, 2])
+    def test_a_stack_with_one_bad_member_is_rejected(self, bad, message, member):
+        stack = np.stack([np.eye(6) / 6] * 3)
+        stack[member] = bad
+        with pytest.raises(GmqdError, match=message):
+            DensityMatrix(stack)
+
+    def test_a_stack_is_validated_and_frozen(self):
+        rho = DensityMatrix(np.stack([np.eye(6) / 6, np.diag([1.0, 0, 0, 0, 0, 0])]))
+        assert rho.dim == 6 and rho.mat.shape == (2, 6, 6)
+        with pytest.raises(ValueError):
+            rho.mat[1, 0, 0] = 0.5
+
     def test_matrix_is_frozen(self):
         rho = DensityMatrix(np.eye(6) / 6)
         with pytest.raises(ValueError):
