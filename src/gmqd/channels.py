@@ -1,10 +1,10 @@
 """Kraus-operator noise channels for the qubit and qutrit subsystems.
 
-Each constructor returns the full operator list for one channel strength
-gamma in [0, 1], pre-embedded in the composite 6x6 space (qubit operators as
-op (x) I3, qutrit operators as I2 (x) op) so application code is uniform.
-:func:`evolve` applies them to an (N, 6, 6) stack of states, each at its own
-pair of strengths, building and checking one set per distinct strength;
+Each constructor returns the full operator set for one channel strength
+gamma in [0, 1], or one set per strength of a 1-D array, pre-embedded in the
+composite 6x6 space (qubit operators as op (x) I3, qutrit operators as
+I2 (x) op) so application code is uniform.  :func:`evolve` applies them to
+an (N, 6, 6) stack of states, each at its own pair of strengths;
 :func:`apply_scenario` is its one-state call.  Operator counts per kind:
 
     kind              qubit ops   qutrit ops
@@ -77,10 +77,11 @@ class Locality(Enum):
 class KrausSet:
     """Kraus operators for one subsystem, already embedded as 6x6 matrices.
 
-    ``ops`` is a read-only (n, 6, 6) stack; any sequence of 6x6 operators is
-    accepted.  Completeness is enforced at construction by
-    :func:`_completeness_error`, the rule :func:`evolve` also applies;
-    ``completeness_error`` records its value.
+    ``ops`` is a read-only (n, 6, 6) set or (M, n, 6, 6) stack of sets; any
+    sequence of 6x6 operators is accepted.  Construction enforces the one
+    completeness rule: finite entries, and max |sum_k K_k^dag K_k - I6|
+    within COMPLETENESS_TOL for every set.  ``completeness_error`` records
+    that deviation, a float for one set and a length-M array for a stack.
     """
 
     ops: np.ndarray
@@ -88,28 +89,19 @@ class KrausSet:
 
     def __post_init__(self):
         ops = np.array(self.ops, dtype=complex)
-        if ops.ndim != 3 or len(ops) == 0:
+        if ops.ndim not in (3, 4) or 0 in ops.shape[:-2]:
             raise GmqdError("Kraus set must be a nonempty sequence of matrices")
-        if ops.shape[1:] != (6, 6):
-            raise GmqdError(f"Kraus operators must be 6x6, got {ops.shape[1:]}")
-        deviation = float(_completeness_error(ops))
+        if ops.shape[-2:] != (6, 6):
+            raise GmqdError(f"Kraus operators must be 6x6, got {ops.shape[-2:]}")
+        if not np.isfinite(ops).all():
+            raise GmqdError("Kraus operator entries must be finite")
+        rows = ops.reshape(ops.shape[:-3] + (-1, 6))  # each set's operators stacked vertically
+        deviation = np.max(np.abs(rows.conj().swapaxes(-1, -2) @ rows - _I6), axis=(-2, -1))
+        reject_first(deviation > COMPLETENESS_TOL, deviation, "Kraus completeness violated by {:.3e}")
         ops.setflags(write=False)
+        deviation.setflags(write=False)
         object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "completeness_error", deviation)
-
-
-def _completeness_error(ops: np.ndarray) -> np.ndarray:
-    """Largest entry of |sum_k K_k^dag K_k - I6| for each set in a (..., n, 6, 6) stack.
-
-    The one rule every Kraus set passes: finite entries, and a deviation
-    within COMPLETENESS_TOL.
-    """
-    if not np.isfinite(ops).all():
-        raise GmqdError("Kraus operator entries must be finite")
-    rows = ops.reshape(ops.shape[:-3] + (-1, 6))  # each set's operators stacked vertically
-    deviation = np.max(np.abs(rows.conj().swapaxes(-1, -2) @ rows - _I6), axis=(-2, -1))
-    reject_first(deviation > COMPLETENESS_TOL, deviation, "Kraus completeness violated by {:.3e}")
-    return deviation
+        object.__setattr__(self, "completeness_error", deviation if ops.ndim == 4 else float(deviation))
 
 
 @dataclass(frozen=True)
@@ -211,18 +203,24 @@ def _combine(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return (coeffs @ terms.reshape(len(terms), 36)).reshape(coeffs.shape[:-1] + (6, 6))
 
 
-def qubit_kraus(kind: ChannelKind, gamma_a: float) -> KrausSet:
-    """Kraus set acting on the qubit, embedded as op (x) I3."""
-    check_gamma(gamma_a, "gamma_a")
-    ops = _combine(_qubit_coeffs(kind, gamma_a), _QUBIT_TERMS[kind])
-    return KrausSet(ops)
+def _kraus(kind: ChannelKind, gamma, name: str, make_coeffs, terms: np.ndarray) -> KrausSet:
+    """The set for one strength, or one set per strength of a 1-D array, stacked."""
+    check_gamma(gamma, name)
+    gammas = np.asarray(gamma, dtype=float)
+    if gammas.ndim > 1 or gammas.size == 0:
+        raise GmqdError(f"{name} must be one strength or a nonempty 1-D array, got shape {gammas.shape}")
+    coeffs = np.stack([make_coeffs(kind, g) for g in gammas.ravel().tolist()])
+    return KrausSet(_combine(coeffs.reshape(gammas.shape + coeffs.shape[1:]), terms))
 
 
-def qutrit_kraus(kind: ChannelKind, gamma_b: float) -> KrausSet:
-    """Kraus set acting on the qutrit, embedded as I2 (x) op."""
-    check_gamma(gamma_b, "gamma_b")
-    ops = _combine(_qutrit_coeffs(kind, gamma_b), _QUTRIT_TERMS[kind])
-    return KrausSet(ops)
+def qubit_kraus(kind: ChannelKind, gamma_a) -> KrausSet:
+    """Kraus set acting on the qubit, embedded as op (x) I3; a 1-D ``gamma_a`` gives one set per strength."""
+    return _kraus(kind, gamma_a, "gamma_a", _qubit_coeffs, _QUBIT_TERMS[kind])
+
+
+def qutrit_kraus(kind: ChannelKind, gamma_b) -> KrausSet:
+    """Kraus set acting on the qutrit, embedded as I2 (x) op; a 1-D ``gamma_b`` gives one set per strength."""
+    return _kraus(kind, gamma_b, "gamma_b", _qutrit_coeffs, _QUTRIT_TERMS[kind])
 
 
 def _apply_ops(mats: np.ndarray, ops: np.ndarray, which: np.ndarray) -> np.ndarray:
@@ -240,27 +238,20 @@ def evolve(rho: DensityMatrix, kind: ChannelKind, gamma_a, gamma_b) -> DensityMa
     ``gamma_a`` (qubit) and ``gamma_b`` (qutrit) are numbers or arrays,
     broadcast against the stack, so one state with N strength pairs gives
     N states.  A side acts on a state where its strength is nonzero; where
-    it is 0 the state keeps its matrix exactly.  One Kraus set is built and
-    checked per distinct nonzero strength.  The output is revalidated.
+    it is 0 the state keeps its matrix exactly.  Each side builds its sets
+    with one :func:`qubit_kraus` or :func:`qutrit_kraus` call over its
+    distinct nonzero strengths.  The output is revalidated.
     """
     if rho.dim != 6:
         raise GmqdError(f"scenario application needs a 6x6 state, got {rho.dim}")
     shape = np.broadcast_shapes(rho.mat.shape[:-2], np.shape(gamma_a), np.shape(gamma_b))
     mats = np.array(np.broadcast_to(rho.mat, shape + (6, 6))).reshape(-1, 6, 6)
-    for name, gammas, make_coeffs, terms in (
-        ("gamma_a", gamma_a, _qubit_coeffs, _QUBIT_TERMS[kind]),
-        ("gamma_b", gamma_b, _qutrit_coeffs, _QUTRIT_TERMS[kind]),
-    ):
+    for gammas, make_set in ((gamma_a, qubit_kraus), (gamma_b, qutrit_kraus)):
         gammas = np.broadcast_to(np.asarray(gammas, dtype=float), shape).ravel()
         active = np.flatnonzero(gammas)
         if active.size:
             strengths, which = np.unique(gammas[active], return_inverse=True)
-            strengths = strengths.tolist()
-            for g in strengths:
-                check_gamma(g, name)
-            ops = _combine(np.stack([make_coeffs(kind, g) for g in strengths]), terms)
-            _completeness_error(ops)
-            mats[active] = _apply_ops(mats[active], ops, which)
+            mats[active] = _apply_ops(mats[active], make_set(kind, strengths).ops, which)
     return DensityMatrix(mats.reshape(shape + (6, 6)))
 
 

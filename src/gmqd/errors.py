@@ -11,6 +11,8 @@ decay rates and times, :func:`check_gamma` for channel strengths, and
 import math
 import operator
 
+import numpy as np
+
 
 class GmqdError(ValueError):
     """Every validation or domain error raised by this package."""
@@ -34,10 +36,10 @@ def check_nonnegative(value: float, name: str) -> None:
         raise GmqdError(f"{name} must be nonnegative, got {value!r}")
 
 
-def check_gamma(value: float, name: str) -> None:
-    """Reject a channel strength outside [0, 1], NaN included."""
-    if not 0.0 <= value <= 1.0:
-        raise GmqdError(f"{name} must lie in [0, 1], got {value!r}")
+def check_gamma(value, name: str) -> None:
+    """Reject a channel strength, or an array holding one, outside [0, 1], NaN included."""
+    values = np.asarray(value, dtype=float)
+    reject_first(~((values >= 0.0) & (values <= 1.0)), values, f"{name} must lie in [0, 1], got {{!r}}")
 
 
 def reject_first(bad, values, message: str) -> None:

@@ -185,11 +185,12 @@ def _tally(name: str, tolerance: float, evaluations: Evaluations) -> CheckResult
 
 
 def _kraus_completeness() -> Evaluations:
+    gammas = np.linspace(0.0, 1.0, 21)
     for kind in ChannelKind:
-        for gamma in np.linspace(0.0, 1.0, 21):
-            for maker, side in ((qubit_kraus, "qubit"), (qutrit_kraus, "qutrit")):
-                dev = maker(kind, float(gamma)).completeness_error
-                yield dev, f"worst at {kind.value}/{side}, gamma={gamma:.2f}"
+        sets = {"qubit": qubit_kraus(kind, gammas), "qutrit": qutrit_kraus(kind, gammas)}
+        for i, gamma in enumerate(gammas):
+            for side, kraus in sets.items():
+                yield float(kraus.completeness_error[i]), f"worst at {kind.value}/{side}, gamma={gamma:.2f}"
 
 
 def _basis_orthonormality() -> Evaluations:
@@ -249,15 +250,15 @@ def sample_point(rng: np.random.Generator) -> tuple[float, float, NoiseScenario]
     """One random family state and scenario: ``(b, c, scenario)``.
 
     Draws, in this order: b in [0, 1/3], c in [0, 1 - 3b], the channel kind,
-    the locality, then gamma_a and gamma_b in [0, 1] for each active side.
+    the locality, then gamma_a and gamma_b in [0, 1]; both strengths are
+    always drawn, and :meth:`Locality.pin` sets the idle side's to 0.
     """
     b = float(rng.uniform(0.0, 1.0 / 3.0))
     c = float(rng.uniform(0.0, 1.0 - 3.0 * b))
     kind = list(ChannelKind)[rng.integers(len(ChannelKind))]
     locality = list(Locality)[rng.integers(len(Locality))]
-    ga = float(rng.uniform(0.0, 1.0)) if locality is not Locality.QUTRIT_ONLY else 0.0
-    gb = float(rng.uniform(0.0, 1.0)) if locality is not Locality.QUBIT_ONLY else 0.0
-    return b, c, NoiseScenario(kind, locality, ga, gb)
+    gammas = locality.pin(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))
+    return b, c, NoiseScenario(kind, locality, *gammas)
 
 
 def _oracle(seed: int, quick: bool) -> Evaluations:

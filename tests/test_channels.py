@@ -66,17 +66,31 @@ class TestKrausSets:
         n_qubit, n_qutrit = EXPECTED_COUNTS[kind]
         assert len(qubit_kraus(kind, 0.3).ops) == n_qubit
         assert len(qutrit_kraus(kind, 0.3).ops) == n_qutrit
+        assert qubit_kraus(kind, [0.3, 0.6]).ops.shape == (2, n_qubit, 6, 6)
+        assert qutrit_kraus(kind, np.array([0.3])).ops.shape == (1, n_qutrit, 6, 6)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_completeness_over_gamma_grid(self, kind):
         identity = np.eye(6)
-        for gamma in np.linspace(0.0, 1.0, 21):
-            for maker in (qubit_kraus, qutrit_kraus):
-                kraus = maker(kind, float(gamma))
-                acc = sum(op.conj().T @ op for op in kraus.ops)
+        gammas = np.linspace(0.0, 1.0, 21)
+        for maker in (qubit_kraus, qutrit_kraus):
+            stacked = maker(kind, gammas)
+            assert stacked.completeness_error.shape == gammas.shape
+            for ops, error in zip(stacked.ops, stacked.completeness_error):
+                acc = sum(op.conj().T @ op for op in ops)
                 deviation = np.max(np.abs(acc - identity))
                 assert deviation <= 1e-12
-                assert kraus.completeness_error == pytest.approx(deviation, abs=1e-15)
+                assert error == pytest.approx(deviation, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_stacked_sets_equal_sets_built_one_by_one(self, kind, rng):
+        gammas = np.concatenate([np.linspace(0.0, 1.0, 21), rng.uniform(0.0, 1.0, 20)])
+        for maker in (qubit_kraus, qutrit_kraus):
+            stacked = maker(kind, gammas)
+            for i, gamma in enumerate(gammas.tolist()):
+                one = maker(kind, gamma)
+                assert stacked.ops[i].tobytes() == one.ops.tobytes()
+                assert stacked.completeness_error[i] == one.completeness_error  # finite, nonnegative
 
     def test_dephasing_at_zero_is_identity_channel(self):
         ops = qubit_kraus(ChannelKind.DEPHASING, 0.0).ops
@@ -109,6 +123,11 @@ class TestKrausSets:
         assert kraus.ops.shape == (5, 6, 6)
         with pytest.raises(ValueError):
             kraus.ops[0, 0, 0] = 0.0
+        stacked = qutrit_kraus(ChannelKind.BIT_PHASE_FLIP, [0.3, 0.4])
+        with pytest.raises(ValueError):
+            stacked.ops[0, 0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            stacked.completeness_error[0] = 0.0
 
     def test_accepts_a_list_of_operators(self):
         ops = [np.sqrt(0.25) * np.eye(6), np.sqrt(0.75) * np.eye(6)]
@@ -119,12 +138,21 @@ class TestKrausSets:
 
     @pytest.mark.parametrize("ops, message", [
         ([], "Kraus set must be a nonempty sequence"),
+        (np.zeros((0, 2, 6, 6)), "Kraus set must be a nonempty sequence"),
         ([np.eye(4)], "Kraus operators must be 6x6"),
         ([np.full((6, 6), np.nan)], "Kraus operator entries must be finite"),
-        ([0.5 * np.eye(6)], "Kraus completeness violated"),
-    ], ids=["empty", "not-6x6", "non-finite", "incomplete"])
+        ([[np.eye(6)], [np.full((6, 6), np.nan)]], "Kraus operator entries must be finite"),
+        ([0.5 * np.eye(6)], "Kraus completeness violated by 7.500e-01"),
+    ], ids=["empty", "empty-stack", "not-6x6", "non-finite", "non-finite-member", "incomplete"])
     def test_rejects_bad_operator_lists(self, ops, message):
         with pytest.raises(GmqdError, match=message):
+            KrausSet(ops)
+
+    def test_rejects_a_stack_with_one_incomplete_member(self):
+        # the first incomplete set is named, with the message a single set gives
+        complete = qubit_kraus(ChannelKind.DEPOLARIZING, 0.4).ops
+        ops = np.stack([complete, 0.5 * complete, complete, 0.8 * complete])
+        with pytest.raises(GmqdError, match="^Kraus completeness violated by 7.500e-01$"):
             KrausSet(ops)
 
     def test_gamma_out_of_range(self):
@@ -132,6 +160,20 @@ class TestKrausSets:
             qubit_kraus(ChannelKind.DEPHASING, 1.2)
         with pytest.raises(GmqdError, match="gamma_b must lie in \\[0, 1\\], got -0.1"):
             qutrit_kraus(ChannelKind.DEPHASING, -0.1)
+
+    @pytest.mark.parametrize("bad, shown", [(1.2, "1.2"), (-0.1, "-0.1"), (math.nan, "nan")])
+    def test_an_array_with_one_bad_strength_gets_the_scalar_message(self, bad, shown):
+        for maker, name in ((qubit_kraus, "gamma_a"), (qutrit_kraus, "gamma_b")):
+            message = f"^{name} must lie in \\[0, 1\\], got {shown}$"
+            with pytest.raises(GmqdError, match=message):
+                maker(ChannelKind.BIT_FLIP, bad)
+            with pytest.raises(GmqdError, match=message):
+                maker(ChannelKind.BIT_FLIP, np.array([0.0, 0.5, bad, 1.0]))
+
+    @pytest.mark.parametrize("gammas", [[], [[0.1, 0.2]]], ids=["empty", "2-d"])
+    def test_strengths_must_be_one_number_or_a_nonempty_line(self, gammas):
+        with pytest.raises(GmqdError, match="gamma_a must be one strength or a nonempty 1-D array"):
+            qubit_kraus(ChannelKind.DEPHASING, gammas)
 
 
 class TestNoiseScenario:
@@ -153,6 +195,9 @@ class TestNoiseScenario:
     def test_gamma_range(self):
         with pytest.raises(GmqdError, match="gamma_a must lie in \\[0, 1\\], got 1.5"):
             NoiseScenario(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, gamma_a=1.5)
+        # numpy scalars are reported as plain floats
+        with pytest.raises(GmqdError, match="^gamma_b must lie in \\[0, 1\\], got 1.5$"):
+            NoiseScenario(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, gamma_b=np.float64(1.5))
 
 
 class TestApplyScenario:

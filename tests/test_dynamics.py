@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gmqd import channels
 from gmqd.channels import ChannelKind, Locality, NoiseScenario, apply_scenario
 from gmqd.dynamics import (
     SWEEP_CHUNK,
@@ -178,6 +179,21 @@ class TestRunSweep:
             one = gmqd_numeric(apply_scenario(state, point)).value
             assert np.float64(row.d_numeric).tobytes() == np.float64(one).tobytes()
             assert row.d_closed == gmqd_closed_form(point, spec.b, spec.c)
+
+    def test_one_kraus_call_per_side_per_chunk(self, monkeypatch):
+        # evolve looks the builders up through the channels module, where the
+        # benchmark's channels.kraus layer counts them
+        calls = []
+        for name in ("qubit_kraus", "qutrit_kraus"):
+            def counted(kind, gamma, name=name, make=getattr(channels, name)):
+                calls.append(name)
+                return make(kind, gamma)
+
+            monkeypatch.setattr(channels, name, counted)
+        rows = run_sweep(spec_for(ChannelKind.DEPOLARIZING, Locality.MULTI_LOCAL, gamma_grid(101)))
+        chunks = math.ceil(101 / SWEEP_CHUNK)
+        assert len(rows) == 101
+        assert calls.count("qubit_kraus") == calls.count("qutrit_kraus") == chunks
 
     def test_independent_gamma_surface_order(self):
         grid = (0.0, 0.5, 1.0)

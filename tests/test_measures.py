@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from gmqd import measures
-from gmqd.channels import PAULI, ChannelKind, Locality, NoiseScenario, apply_scenario
+from gmqd.channels import PAULI, ChannelKind, Locality, NoiseScenario, apply_scenario, gammas_at_time
+from gmqd.dynamics import gamma_grid, time_grid
 from gmqd.errors import GmqdError
 from gmqd.measures import (
     ORACLE_PHI_POINTS,
     ORACLE_THETA_POINTS,
     _pauli_components,
     _pinching_distance,
+    closed_form,
     closed_form_coefficients,
     correlation_matrix,
     gmqd_closed_form,
@@ -262,6 +264,30 @@ class TestClosedForm:
         scenario = NoiseScenario(ChannelKind.DEPHASING, Locality.MULTI_LOCAL)
         with pytest.raises(GmqdError, match="gives a="):
             gmqd_closed_form(scenario, 0.5, 0.9)
+
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS,
+                             ids=lambda s: f"{s.kind.value}/{s.locality.value}")
+    def test_arrays_equal_one_point_calls(self, scenario):
+        kind, locality = scenario.kind, scenario.locality
+        line = np.array([locality.pin(g, g) for g in gamma_grid(101)]).T
+        times = np.array([gammas_at_time(locality, t, 0.7, 1.9) for t in time_grid(101, 8.0)]).T
+        for gamma_a, gamma_b in (line, times):
+            values = closed_form(kind, 0.2, 0.1, gamma_a, gamma_b)
+            assert values.shape == gamma_a.shape
+            for value, ga, gb in zip(values.tolist(), gamma_a.tolist(), gamma_b.tolist()):
+                one = gmqd_closed_form(NoiseScenario(kind, locality, ga, gb), 0.2, 0.1)
+                assert np.float64(value).tobytes() == np.float64(one).tobytes()
+
+    @pytest.mark.parametrize("b, c, gamma_a, gamma_b, message", [
+        (0.5, 0.9, [0.1, 0.2], [0.1, 0.2], "gives a="),
+        (np.nan, 0.1, 0.1, 0.1, "must be finite"),
+        (0.2, 0.1, [0.1, 1.2], [0.1, 0.2], "^gamma_a must lie in \\[0, 1\\], got 1.2$"),
+        (0.2, 0.1, [0.1, 0.2], [np.nan, 0.2], "^gamma_b must lie in \\[0, 1\\], got nan$"),
+        (0.2, 0.1, -0.1, 0.0, "^gamma_a must lie in \\[0, 1\\], got -0.1$"),
+    ], ids=["unphysical", "nan-b", "gamma-a-array", "gamma-b-nan", "gamma-a-scalar"])
+    def test_closed_form_rejects_bad_input(self, b, c, gamma_a, gamma_b, message):
+        with pytest.raises(GmqdError, match=message):
+            closed_form(ChannelKind.DEPOLARIZING, b, c, np.array(gamma_a), np.array(gamma_b))
 
     def test_qubit_only_dephasing_is_linear_in_strength(self):
         values = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gmqd import channels, cli, dynamics, measures, verify
-from gmqd.channels import ChannelKind
+from gmqd.channels import ChannelKind, Locality, NoiseScenario
 from gmqd.errors import GmqdError, check_count
 from gmqd.states import TwoParamState, initial_state
 
@@ -44,6 +44,21 @@ def test_numpy_integer_counts_pass():
     check_count(np.int32(4), "restarts", 1)
     assert len(dynamics.gamma_grid(np.int64(3))) == 3
     check_count(np.uint8(2), "seed", 0)
+
+
+def test_sample_point_draws_both_strengths_and_pins_the_idle_side():
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    localities = set()
+    for _ in range(40):
+        b, c, scenario = verify.sample_point(rng)
+        expected_b = twin.uniform(0.0, 1.0 / 3.0)
+        expected_c = twin.uniform(0.0, 1.0 - 3.0 * expected_b)
+        kind = list(ChannelKind)[twin.integers(len(ChannelKind))]
+        locality = list(Locality)[twin.integers(len(Locality))]
+        gammas = locality.pin(twin.uniform(0.0, 1.0), twin.uniform(0.0, 1.0))
+        assert (b, c, scenario) == (expected_b, expected_c, NoiseScenario(kind, locality, *gammas))
+        localities.add(locality)
+    assert localities == set(Locality)
 
 
 def test_coefficient_tables_bound_the_c36_c39_pair(monkeypatch):
@@ -142,7 +157,7 @@ def reweighted(kind, squared_weights, at=lambda g: True):
         "closed-form-vs-numeric/qutrit-only",
         "qutrit-endpoint-positivity",
     }, "gammas=(0.00,1.00)"),
-    (dynamics, "gmqd_closed_form", lambda f: shift_value(f, 1e-6), CLOSED_FORM_GROUPS,
+    (dynamics, "closed_form", lambda f: shift_value(f, 1e-6), CLOSED_FORM_GROUPS,
      "worst at b="),
     # the numeric value of the sweep path that gmqd sweep writes; the
     # equivalence and oracle checks call gmqd_numeric directly and still pass
@@ -154,7 +169,7 @@ def reweighted(kind, squared_weights, at=lambda g: True):
      "worst at b=0.05"),
     # a route that returns NaN fails its checks, located at its first NaN;
     # the NaN rows of the sweep path count as vanished in no-sudden-death
-    (dynamics, "gmqd_closed_form", lambda f: shift_value(f, math.nan), CLOSED_FORM_GROUPS,
+    (dynamics, "closed_form", lambda f: shift_value(f, math.nan), CLOSED_FORM_GROUPS,
      "worst at b=0.2, c=0.1, gammas=(0.00,0.00)"),
     (dynamics, "gmqd_numeric", lambda f: shift_value(f, math.nan),
      CLOSED_FORM_GROUPS | {"no-sudden-death", "qutrit-endpoint-positivity"},
@@ -207,10 +222,11 @@ def test_a_raising_check_keeps_its_name_tolerance_and_count(monkeypatch):
     completeness = report.checks[0]
     assert completeness.name == "kraus-completeness"
     assert completeness.tolerance == channels.COMPLETENESS_TOL
-    assert completeness.detail.startswith("raised: Kraus completeness violated by")
-    # the first four kinds' sets (21 strengths, two sides) and both depolarizing
-    # sets at gamma = 0 are complete; the qubit set at gamma = 0.05 raises
-    assert completeness.points == 4 * 21 * 2 + 2
+    # the first four kinds' sets (21 strengths, two sides) are complete; the
+    # depolarizing qubit stack holds the incomplete set at gamma = 0.05 and
+    # raises whole, naming that set's deviation
+    assert completeness.points == 4 * 21 * 2
+    assert completeness.detail == "raised: Kraus completeness violated by 2.500e-03"
     # a sweep that raises yields none of its rows: at the first (b, c), the
     # qubit-only group scores the four kinds before depolarizing (3 points
     # each), and the first multi-local depolarizing surface raises outright
@@ -243,7 +259,7 @@ def test_cli_names_a_raised_check_over_a_larger_miss(monkeypatch, capsys):
     # the closed-form groups miss their tolerance 100-fold; kraus-completeness raises
     # after deviations far below its tolerance, and still names the failure
     monkeypatch.setattr(channels, "_qubit_coeffs", incomplete_depolarizing(channels._qubit_coeffs))
-    monkeypatch.setattr(dynamics, "gmqd_closed_form", shift_value(dynamics.gmqd_closed_form, 1e-6))
+    monkeypatch.setattr(dynamics, "closed_form", shift_value(dynamics.closed_form, 1e-6))
     assert cli.main(["verify", "--quick"]) == cli.EXIT_VERIFY_FAILED
     captured = capsys.readouterr()
     assert "error: verification failed at kraus-completeness\n" in captured.err
