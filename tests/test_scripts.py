@@ -20,3 +20,18 @@ def test_scripts_run_on_small_grids(monkeypatch, capsys, tmp_path):
     assert len(list(tmp_path.glob("*.csv"))) == 16
     assert run_script(monkeypatch, "cross_method_check.py", "--samples", "2") == 0
     assert "worst three-way spread" in capsys.readouterr().out
+
+
+def test_output_digests_repeat(monkeypatch, capsys):
+    runs = []
+    for _ in range(2):
+        assert run_script(monkeypatch, "output_digests.py", "--quick") == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    fields = [line.split(" ", 2) for line in runs[0]]
+    assert all(len(digest) == 64 for digest, _, _ in fields)
+    codes = {argv: int(code) for _, code, argv in fields}
+    # the list holds passing runs, a failing verify and rejected inputs
+    assert codes["verify --quick"] == 0
+    assert codes["verify --quick --inject-fault"] == 1
+    assert codes["compute --b 0.2 --c 0.1 --time -1"] == 2
