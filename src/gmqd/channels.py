@@ -120,15 +120,16 @@ class NoiseScenario:
             raise GmqdError(f"{self.locality.value} noise requires its idle side's strength to be 0")
 
 
-def gamma_of_t(t: float, decay_rate: float) -> float:
-    """Time-dependent channel strength 1 - exp(-t * rate), clamped to [0, 1]."""
+def gamma_of_t(t, decay_rate: float):
+    """Channel strength 1 - exp(-t * rate) in [0, 1]: a float at a time t, an array at an array of times."""
     check_nonnegative(t, "time")
     check_nonnegative(decay_rate, "decay rate")
-    return float(min(1.0, max(0.0, -np.expm1(-t * decay_rate))))
+    gamma = np.clip(-np.expm1(-np.asarray(t, dtype=float) * decay_rate), 0.0, 1.0)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def gammas_at_time(locality: Locality, t: float, rate_a: float, rate_b: float) -> tuple[float, float]:
-    """Strengths at time t: gamma_of_t on each side at its own rate, idle side pinned to 0."""
+def gammas_at_time(locality: Locality, t, rate_a: float, rate_b: float) -> tuple:
+    """Strengths at time(s) t: gamma_of_t on each side at its own rate, idle side pinned to 0."""
     return locality.pin(gamma_of_t(t, rate_a), gamma_of_t(t, rate_b))
 
 
@@ -179,38 +180,43 @@ for _terms in (*_QUBIT_TERMS.values(), *_QUTRIT_TERMS.values()):
     _terms.setflags(write=False)
 
 
-def _qubit_coeffs(kind: ChannelKind, g: float) -> np.ndarray:
+def _table(rows) -> np.ndarray:
+    """A (..., n, m) coefficient stack from n rows of m entries, each a number or a strength-shaped array."""
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=-2)
+
+
+def _diag(weights) -> np.ndarray:
+    """A (..., n, n) diagonal coefficient stack from n equal-shape weight arrays."""
+    return np.stack(weights, axis=-1)[..., None, :] * np.eye(len(weights))
+
+
+def _qubit_coeffs(kind: ChannelKind, g: np.ndarray) -> np.ndarray:
     if kind is ChannelKind.DEPHASING:
-        return np.array([[1.0, np.sqrt(1.0 - g)], [0.0, np.sqrt(g)]])
+        return _table([[1.0, np.sqrt(1.0 - g)], [0.0, np.sqrt(g)]])
     if kind is ChannelKind.DEPOLARIZING:
-        return np.diag([np.sqrt(1.0 - 0.75 * g)] + [np.sqrt(g / 4.0)] * 3)
-    return np.diag([np.sqrt(1.0 - g / 2.0), np.sqrt(g / 2.0)])
+        return _diag([np.sqrt(1.0 - 0.75 * g)] + [np.sqrt(g / 4.0)] * 3)
+    return _diag([np.sqrt(1.0 - g / 2.0), np.sqrt(g / 2.0)])
 
 
-def _qutrit_coeffs(kind: ChannelKind, g: float) -> np.ndarray:
+def _qutrit_coeffs(kind: ChannelKind, g: np.ndarray) -> np.ndarray:
     if kind is ChannelKind.DEPHASING:
         keep, lost = np.sqrt(1.0 - g), np.sqrt(g)
-        return np.array([[1.0, keep, keep], [0.0, lost, 0.0], [0.0, 0.0, lost]])
+        return _table([[1.0, keep, keep], [0.0, lost, 0.0], [0.0, 0.0, lost]])
     if kind is ChannelKind.BIT_PHASE_FLIP:
-        return np.diag([np.sqrt(1.0 - 2.0 * g / 3.0)] + [np.sqrt(g / 6.0)] * 4)
+        return _diag([np.sqrt(1.0 - 2.0 * g / 3.0)] + [np.sqrt(g / 6.0)] * 4)
     if kind is ChannelKind.DEPOLARIZING:
-        return np.diag([np.sqrt(1.0 - 8.0 * g / 9.0)] + [np.sqrt(g) / 3.0] * 8)
-    return np.diag([np.sqrt(1.0 - 2.0 * g / 3.0)] + [np.sqrt(g / 3.0)] * 2)
-
-
-def _combine(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """The (..., n, 6, 6) stack sum_m coeffs[..., n, m] terms[m]."""
-    return (coeffs @ terms.reshape(len(terms), 36)).reshape(coeffs.shape[:-1] + (6, 6))
+        return _diag([np.sqrt(1.0 - 8.0 * g / 9.0)] + [np.sqrt(g) / 3.0] * 8)
+    return _diag([np.sqrt(1.0 - 2.0 * g / 3.0)] + [np.sqrt(g / 3.0)] * 2)
 
 
 def _kraus(kind: ChannelKind, gamma, name: str, make_coeffs, terms: np.ndarray) -> KrausSet:
-    """The set for one strength, or one set per strength of a 1-D array, stacked."""
+    """The set for one strength, or one set per strength of a 1-D array, stacked: sum_m coeffs[..., n, m] terms[m]."""
     check_gamma(gamma, name)
     gammas = np.asarray(gamma, dtype=float)
     if gammas.ndim > 1 or gammas.size == 0:
         raise GmqdError(f"{name} must be one strength or a nonempty 1-D array, got shape {gammas.shape}")
-    coeffs = np.stack([make_coeffs(kind, g) for g in gammas.ravel().tolist()])
-    return KrausSet(_combine(coeffs.reshape(gammas.shape + coeffs.shape[1:]), terms))
+    coeffs = make_coeffs(kind, gammas)
+    return KrausSet((coeffs @ terms.reshape(len(terms), 36)).reshape(coeffs.shape[:-1] + (6, 6)))
 
 
 def qubit_kraus(kind: ChannelKind, gamma_a) -> KrausSet:
@@ -223,12 +229,9 @@ def qutrit_kraus(kind: ChannelKind, gamma_b) -> KrausSet:
     return _kraus(kind, gamma_b, "gamma_b", _qutrit_coeffs, _QUTRIT_TERMS[kind])
 
 
-def _apply_ops(mats: np.ndarray, ops: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """sum_k K_k mat K_k^dag for each (6, 6) mat of a stack, with the (n, 6, 6) set ops[which[i]] on mat i."""
-    picked = ops[which]
-    left = picked @ mats[:, None]
-    np.conjugate(picked, out=picked)  # in place: one (N, n, 6, 6) array fewer alive
-    return (left @ picked.swapaxes(-1, -2)).sum(axis=1)
+def _apply_ops(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_k K_k mat K_k^dag for each (6, 6) mat of a stack, with the (n, 6, 6) set ops[i] on mat i."""
+    return (ops @ mats[:, None] @ ops.conj().swapaxes(-1, -2)).sum(axis=1)
 
 
 def evolve(rho: DensityMatrix, kind: ChannelKind, gamma_a, gamma_b) -> DensityMatrix:
@@ -238,9 +241,9 @@ def evolve(rho: DensityMatrix, kind: ChannelKind, gamma_a, gamma_b) -> DensityMa
     ``gamma_a`` (qubit) and ``gamma_b`` (qutrit) are numbers or arrays,
     broadcast against the stack, so one state with N strength pairs gives
     N states.  A side acts on a state where its strength is nonzero; where
-    it is 0 the state keeps its matrix exactly.  Each side builds its sets
-    with one :func:`qubit_kraus` or :func:`qutrit_kraus` call over its
-    distinct nonzero strengths.  The output is revalidated.
+    it is 0 the state keeps its matrix exactly.  Each side builds the sets
+    of its active states with one :func:`qubit_kraus` or
+    :func:`qutrit_kraus` call.  The output is revalidated.
     """
     if rho.dim != 6:
         raise GmqdError(f"scenario application needs a 6x6 state, got {rho.dim}")
@@ -250,8 +253,7 @@ def evolve(rho: DensityMatrix, kind: ChannelKind, gamma_a, gamma_b) -> DensityMa
         gammas = np.broadcast_to(np.asarray(gammas, dtype=float), shape).ravel()
         active = np.flatnonzero(gammas)
         if active.size:
-            strengths, which = np.unique(gammas[active], return_inverse=True)
-            mats[active] = _apply_ops(mats[active], make_set(kind, strengths).ops, which)
+            mats[active] = _apply_ops(mats[active], make_set(kind, gammas[active]).ops)
     return DensityMatrix(mats.reshape(shape + (6, 6)))
 
 

@@ -120,8 +120,7 @@ def _strengths(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     locality = spec.scenario.locality
     grid = np.array(spec.grid)
     if spec.axis is SweepAxis.TIME:
-        pairs = [gammas_at_time(locality, t, spec.rate_a, spec.rate_b) for t in spec.grid]
-        return np.array(pairs).T
+        return np.broadcast_arrays(*gammas_at_time(locality, grid, spec.rate_a, spec.rate_b))
     if spec.coupling is Coupling.INDEPENDENT:
         return np.repeat(grid, len(grid)), np.tile(grid, len(grid))
     return np.broadcast_arrays(*locality.pin(grid, grid))

@@ -8,7 +8,6 @@ decay rates and times, :func:`check_gamma` for channel strengths, and
 :func:`reject_first` for a rule applied to a stack of states or channels.
 """
 
-import math
 import operator
 
 import numpy as np
@@ -28,12 +27,12 @@ def check_count(value, name: str, minimum: int) -> None:
         raise GmqdError(f"{name} must be >= {minimum}, got {value}")
 
 
-def check_nonnegative(value: float, name: str) -> None:
-    """Reject a rate or time that is not finite, then one that is negative."""
-    if not math.isfinite(value):
-        raise GmqdError(f"{name} must be finite, got {value!r}")
-    if value < 0.0:
-        raise GmqdError(f"{name} must be nonnegative, got {value!r}")
+def check_nonnegative(value, name: str) -> None:
+    """Reject a rate or time that is not finite, then one that is negative; an array names its first offender."""
+    values = np.asarray(value, dtype=float)
+    first = values[~(np.isfinite(values) & (values >= 0.0))][:1]
+    reject_first(~np.isfinite(first), first, f"{name} must be finite, got {{!r}}")
+    reject_first(first < 0.0, first, f"{name} must be nonnegative, got {{!r}}")
 
 
 def check_gamma(value, name: str) -> None:

@@ -229,47 +229,48 @@ def gmqd_closed_form(scenario: NoiseScenario, b: float, c: float) -> float:
     return float(closed_form(scenario.kind, b, c, scenario.gamma_a, scenario.gamma_b))
 
 
-def closed_form_coefficients(scenario: NoiseScenario, b: float, c: float) -> np.ndarray:
+def closed_form_coefficients(kind: ChannelKind, b: float, c: float, gamma_a, gamma_b) -> np.ndarray:
     """Tabulated 4x9 correlation coefficients of the evolved family state.
 
-    Matches :func:`correlation_matrix` applied after the scenario's channels.
-    Local-only scenarios are the multi-local tables with the inactive strength
-    already pinned to zero by the scenario itself.
+    Matches :func:`correlation_matrix` after :func:`gmqd.channels.evolve` at
+    the same strengths: numbers, or equal-shape arrays giving a (..., 4, 9)
+    stack.  An idle side has strength 0, so local noise needs no table.
     """
     TwoParamState.from_bc(b, c)
+    check_gamma(gamma_a, "gamma_a")
+    check_gamma(gamma_b, "gamma_b")
+    ga, gb = np.asarray(gamma_a, dtype=float), np.asarray(gamma_b, dtype=float)
     diff = b - c
     pop = 2.0 - 9.0 * b - 3.0 * c  # population imbalance entering the (1, 7) entry
-    ga, gb = scenario.gamma_a, scenario.gamma_b
-    kind = scenario.kind
-    out = np.zeros((4, 9))
-    out[0, 0] = 1.0 / SQRT6
+    out = np.zeros(np.broadcast_shapes(ga.shape, gb.shape) + (4, 9))
+    out[..., 0, 0] = 1.0 / SQRT6
     if kind is ChannelKind.DEPHASING:
-        out[0, 6] = -pop / (2.0 * SQRT3)
-        out[1, 1] = out[2, 2] = 0.5 * diff * np.sqrt((1.0 - ga) * (1.0 - gb))
-        out[3, 3] = 0.5 * diff
+        out[..., 0, 6] = -pop / (2.0 * SQRT3)
+        out[..., 1, 1] = out[..., 2, 2] = 0.5 * diff * np.sqrt((1.0 - ga) * (1.0 - gb))
+        out[..., 3, 3] = 0.5 * diff
     elif kind is ChannelKind.PHASE_FLIP:
-        out[0, 6] = -pop / (2.0 * SQRT3)
-        out[1, 1] = out[2, 2] = 0.5 * diff * (1.0 - ga) * (1.0 - gb)
-        out[3, 3] = 0.5 * diff
+        out[..., 0, 6] = -pop / (2.0 * SQRT3)
+        out[..., 1, 1] = out[..., 2, 2] = 0.5 * diff * (1.0 - ga) * (1.0 - gb)
+        out[..., 3, 3] = 0.5 * diff
     elif kind is ChannelKind.BIT_FLIP:
-        out[0, 6] = pop * (gb - 1.0) / (2.0 * SQRT3)
-        out[1, 1] = -diff * (2.0 * gb - 3.0) / 6.0
-        out[1, 4] = out[1, 7] = diff * gb / 6.0
-        out[2, 2] = diff * (2.0 * gb - 3.0) * (ga - 1.0) / 6.0
-        out[2, 5] = diff * (ga - 1.0) * gb / 6.0
-        out[2, 8] = -out[2, 5]
-        out[3, 3] = 0.5 * diff * (gb - 1.0) * (ga - 1.0)
+        out[..., 0, 6] = pop * (gb - 1.0) / (2.0 * SQRT3)
+        out[..., 1, 1] = -diff * (2.0 * gb - 3.0) / 6.0
+        out[..., 1, 4] = out[..., 1, 7] = diff * gb / 6.0
+        out[..., 2, 2] = diff * (2.0 * gb - 3.0) * (ga - 1.0) / 6.0
+        out[..., 2, 5] = diff * (ga - 1.0) * gb / 6.0
+        out[..., 2, 8] = -out[..., 2, 5]
+        out[..., 3, 3] = 0.5 * diff * (gb - 1.0) * (ga - 1.0)
     elif kind is ChannelKind.BIT_PHASE_FLIP:
-        out[0, 6] = pop * (gb - 1.0) / (2.0 * SQRT3)
-        out[1, 1] = diff * (2.0 * gb - 3.0) * (ga - 1.0) / 6.0
-        out[1, 4] = out[1, 7] = diff * (ga - 1.0) * gb / 12.0
-        out[2, 2] = -diff * (2.0 * gb - 3.0) / 6.0
-        out[2, 5] = diff * gb / 12.0
-        out[2, 8] = -out[2, 5]
-        out[3, 3] = 0.5 * diff * (gb - 1.0) * (ga - 1.0)
+        out[..., 0, 6] = pop * (gb - 1.0) / (2.0 * SQRT3)
+        out[..., 1, 1] = diff * (2.0 * gb - 3.0) * (ga - 1.0) / 6.0
+        out[..., 1, 4] = out[..., 1, 7] = diff * (ga - 1.0) * gb / 12.0
+        out[..., 2, 2] = -diff * (2.0 * gb - 3.0) / 6.0
+        out[..., 2, 5] = diff * gb / 12.0
+        out[..., 2, 8] = -out[..., 2, 5]
+        out[..., 3, 3] = 0.5 * diff * (gb - 1.0) * (ga - 1.0)
     else:  # depolarizing
-        out[0, 6] = pop * (gb - 1.0) / (2.0 * SQRT3)
-        out[1, 1] = out[2, 2] = out[3, 3] = 0.5 * diff * (1.0 - ga) * (1.0 - gb)
+        out[..., 0, 6] = pop * (gb - 1.0) / (2.0 * SQRT3)
+        out[..., 1, 1] = out[..., 2, 2] = out[..., 3, 3] = 0.5 * diff * (1.0 - ga) * (1.0 - gb)
     return out
 
 

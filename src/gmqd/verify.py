@@ -10,12 +10,13 @@ it into its result, so a check that raises fails alone.  The full suite
 tolerance and evaluation count.  ``quick=True`` shrinks the grids so the
 suite finishes in well under a second.
 
-``closed-form-vs-numeric``, ``no-sudden-death`` and
-``qutrit-endpoint-positivity`` read the rows of
+``closed-form-vs-numeric``, ``no-sudden-death``, the two ``*-equivalence``
+checks and ``qutrit-endpoint-positivity`` read the rows of
 :func:`gmqd.dynamics.run_sweep`, the path ``gmqd sweep`` runs, so they check
-that path itself.  The coefficient-table, oracle, Werner and equivalence
-checks call the routes directly, one state at a time, rather than through
-it.
+that path itself.  ``coefficient-tables`` scores each (b, c) as one stack of
+strength pairs through ``evolve``, ``correlation_matrix`` and
+``closed_form_coefficients``; the oracle and Werner checks call their routes
+one state at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .channels import (
     Locality,
     NoiseScenario,
     apply_scenario,
+    evolve,
     qubit_kraus,
     qutrit_kraus,
 )
@@ -203,21 +205,18 @@ def _basis_orthonormality() -> Evaluations:
 
 def _coefficient_table(kind: ChannelKind, quick: bool, inject_fault: bool) -> Evaluations:
     gammas = np.linspace(0.0, 1.0, 3 if quick else 11)
+    ga, gb = (g.ravel() for g in np.meshgrid(gammas, gammas, indexing="ij"))
     for b, c in QUICK_BC_POINTS if quick else FULL_BC_POINTS[:3]:
-        state = initial_state(TwoParamState.from_bc(b, c))
-        for ga in gammas:
-            for gb in gammas:
-                scenario = NoiseScenario(kind, Locality.MULTI_LOCAL, float(ga), float(gb))
-                measured = correlation_matrix(apply_scenario(state, scenario))
-                expected = closed_form_coefficients(scenario, b, c)
-                if inject_fault and kind is ChannelKind.BIT_FLIP:
-                    expected = expected.copy()
-                    expected[1, 4] += _FAULT_OFFSET
-                dev = float(np.max(np.abs(measured - expected)))
-                # c36 = -c39 holds for every kind; the pair is bounded on its own so
-                # that a table sharing the state's sign slip cannot hide it
-                dev = max(dev, abs(measured[2, 5] + measured[2, 8]))
-                yield dev, f"worst at b={b:.4g}, c={c:.4g}, gammas=({ga:.2f},{gb:.2f})"
+        measured = correlation_matrix(evolve(initial_state(TwoParamState.from_bc(b, c)), kind, ga, gb))
+        expected = closed_form_coefficients(kind, b, c, ga, gb)
+        if inject_fault and kind is ChannelKind.BIT_FLIP:
+            expected[:, 1, 4] += _FAULT_OFFSET
+        dev = np.max(np.abs(measured - expected), axis=(-2, -1))
+        # c36 = -c39 holds for every kind; the pair is bounded on its own so
+        # that a table sharing the state's sign slip cannot hide it
+        dev = np.maximum(dev, np.abs(measured[:, 2, 5] + measured[:, 2, 8]))
+        for i in range(len(dev)):
+            yield float(dev[i]), f"worst at b={b:.4g}, c={c:.4g}, gammas=({ga[i]:.2f},{gb[i]:.2f})"
 
 
 def _closed_vs_numeric_groups(quick: bool) -> Iterator[tuple[str, list[SweepSpec]]]:
@@ -304,15 +303,14 @@ def _no_sudden_death(quick: bool) -> Evaluations:
 def _equivalence(locality: Locality, kinds: list[ChannelKind], quick: bool) -> Evaluations:
     """The kinds' discords coincide at every strength of one local channel.
 
-    Each evaluation is one kind's value above the smallest at that strength.
+    Each evaluation is one kind's sweep row above the smallest at that strength.
     """
-    state = initial_state(TwoParamState.from_bc(0.2, 0.1))
-    for gamma in np.linspace(0.0, 1.0, 5 if quick else 11):
-        scenarios = [NoiseScenario(kind, locality, *locality.pin(float(gamma), float(gamma))) for kind in kinds]
-        found = [gmqd_numeric(apply_scenario(state, scenario)).value for scenario in scenarios]
-        floor = min(found)
-        for kind, value in zip(kinds, found):
-            yield value - floor, f"worst at {kind.value}, gamma={gamma:.2f}"
+    grid = gamma_grid(5 if quick else 11)
+    sweeps = [run_sweep(SweepSpec(NoiseScenario(kind, locality), 0.2, 0.1, grid)) for kind in kinds]
+    for gamma, rows in zip(grid, zip(*sweeps)):
+        floor = min(row.d_numeric for row in rows)
+        for kind, row in zip(kinds, rows):
+            yield row.d_numeric - floor, f"worst at {kind.value}, gamma={gamma:.2f}"
 
 
 def _qutrit_endpoints() -> Evaluations:

@@ -13,6 +13,7 @@ from gmqd.channels import (
     apply_scenario,
     evolve,
     gamma_of_t,
+    gammas_at_time,
     qubit_kraus,
     qutrit_kraus,
 )
@@ -50,6 +51,33 @@ class TestGammaOfT:
             gamma_of_t(-0.1, 1.0)
         with pytest.raises(GmqdError, match="decay rate must be nonnegative"):
             gamma_of_t(0.1, -1.0)
+
+    @pytest.mark.parametrize("locality", list(Locality), ids=lambda x: x.value)
+    def test_arrays_equal_scalar_calls(self, locality):
+        times = np.concatenate([np.linspace(0.0, 8.0, 101), [1e-300, 0.5e-16, 30.0, 800.0, 1e9]])
+        gammas = gamma_of_t(times, 1.9)
+        assert gammas.shape == times.shape
+        for gamma, t in zip(gammas.tolist(), times.tolist()):
+            assert np.float64(gamma).tobytes() == np.float64(gamma_of_t(t, 1.9)).tobytes()
+        pair = np.broadcast_arrays(*gammas_at_time(locality, times, 0.7, 1.9))
+        for ga, gb, t in zip(*pair, times.tolist()):
+            one = gammas_at_time(locality, t, 0.7, 1.9)
+            assert np.array([ga, gb]).tobytes() == np.array(one).tobytes()
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.0, -1.0, np.nan, -2.0], "^time must be nonnegative, got -1.0$"),
+        ([0.0, np.nan, -1.0], "^time must be finite, got nan$"),
+        ([0.5, np.inf], "^time must be finite, got inf$"),
+    ], ids=["negative", "nan", "inf"])
+    def test_arrays_name_the_first_bad_time(self, times, message):
+        with pytest.raises(GmqdError, match=message):
+            gamma_of_t(np.array(times), 1.0)
+        with pytest.raises(GmqdError, match=message):
+            gammas_at_time(Locality.QUBIT_ONLY, np.array(times), 1.0, 1.0)
+
+    def test_integer_inputs_are_reported_as_floats(self):
+        with pytest.raises(GmqdError, match="^time must be nonnegative, got -1.0$"):
+            gamma_of_t(-1, 1.0)
 
     @given(bad=NON_FINITE, good=st.floats(0.0, 10.0), slot=st.integers(0, 1))
     def test_non_finite_inputs(self, bad, good, slot):
@@ -277,6 +305,16 @@ class TestApplyScenario:
             one = apply_scenario(rho, NoiseScenario(kind, Locality.MULTI_LOCAL, ga, gb))
             assert mat.tobytes() == one.mat.tobytes()
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_evolve_with_repeated_strengths_matches_one_state_calls(self, kind, rng):
+        rho = random_density(6, rng)
+        gamma_a = [0.3, 0.3, 0.7, 0.3, 0.7, 0.0, 0.3]
+        gamma_b = [0.6, 0.6, 0.6, 0.2, 0.2, 0.6, 0.6]
+        out = evolve(rho, kind, gamma_a, gamma_b)
+        for mat, ga, gb in zip(out.mat, gamma_a, gamma_b):
+            one = apply_scenario(rho, NoiseScenario(kind, Locality.MULTI_LOCAL, ga, gb))
+            assert mat.tobytes() == one.mat.tobytes()
+
     def test_evolve_checks_every_strength(self):
         rho = DensityMatrix(np.eye(6) / 6)
         with pytest.raises(GmqdError, match="gamma_b must lie in \\[0, 1\\], got 1.5"):
@@ -287,9 +325,8 @@ class TestApplyScenario:
 
         for kind in ALL_KINDS:
             rho = random_density(6, rng).mat[None]
-            e_ops = qubit_kraus(kind, 0.35).ops[None]
-            f_ops = qutrit_kraus(kind, 0.55).ops[None]
-            first = np.zeros(1, dtype=int)
-            ef = _apply_ops(_apply_ops(rho, e_ops, first), f_ops, first)
-            fe = _apply_ops(_apply_ops(rho, f_ops, first), e_ops, first)
+            e_ops = qubit_kraus(kind, [0.35]).ops
+            f_ops = qutrit_kraus(kind, [0.55]).ops
+            ef = _apply_ops(_apply_ops(rho, e_ops), f_ops)
+            fe = _apply_ops(_apply_ops(rho, f_ops), e_ops)
             assert np.max(np.abs(ef - fe)) <= 1e-12

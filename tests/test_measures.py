@@ -302,8 +302,7 @@ class TestClosedForm:
 class TestClosedFormCoefficients:
     def test_bit_flip_with_idle_qutrit(self):
         b, c, ga = 0.2, 0.1, 0.35
-        scenario = NoiseScenario(ChannelKind.BIT_FLIP, Locality.QUBIT_ONLY, gamma_a=ga)
-        table = closed_form_coefficients(scenario, b, c)
+        table = closed_form_coefficients(ChannelKind.BIT_FLIP, b, c, ga, 0.0)
         diff = b - c
         expected = np.zeros((4, 9))
         expected[0, 0] = 1.0 / SQRT6
@@ -315,15 +314,13 @@ class TestClosedFormCoefficients:
 
     def test_trit_phase_flip_sign_pattern(self):
         b, c, gb = 0.2, 0.1, 0.6
-        scenario = NoiseScenario(ChannelKind.BIT_PHASE_FLIP, Locality.QUTRIT_ONLY, gamma_b=gb)
-        table = closed_form_coefficients(scenario, b, c)
+        table = closed_form_coefficients(ChannelKind.BIT_PHASE_FLIP, b, c, 0.0, gb)
         assert table[2, 5] == pytest.approx((b - c) * gb / 12.0)
         assert table[2, 8] == pytest.approx(-(b - c) * gb / 12.0)
 
     def test_multilocal_depolarizing_diagonal(self):
         b, c, ga, gb = 0.2, 0.1, 0.3, 0.7
-        scenario = NoiseScenario(ChannelKind.DEPOLARIZING, Locality.MULTI_LOCAL, ga, gb)
-        table = closed_form_coefficients(scenario, b, c)
+        table = closed_form_coefficients(ChannelKind.DEPOLARIZING, b, c, ga, gb)
         expected = 0.5 * (b - c) * (1 - ga) * (1 - gb)
         assert table[1, 1] == pytest.approx(expected)
         assert table[2, 2] == pytest.approx(expected)
@@ -336,7 +333,19 @@ class TestClosedFormCoefficients:
         for ga, gb in [(0.0, 0.0), (0.4, 0.0), (0.0, 0.8), (0.5, 0.5)]:
             scenario = NoiseScenario(kind, Locality.MULTI_LOCAL, ga, gb)
             measured = correlation_matrix(apply_scenario(state, scenario))
-            assert np.max(np.abs(measured - closed_form_coefficients(scenario, b, c))) <= 1e-10
+            assert np.max(np.abs(measured - closed_form_coefficients(kind, b, c, ga, gb))) <= 1e-10
+
+    @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda k: k.value)
+    def test_arrays_equal_one_point_calls(self, kind):
+        gamma_a, gamma_b = (g.ravel() for g in np.meshgrid(gamma_grid(11), gamma_grid(11), indexing="ij"))
+        tables = closed_form_coefficients(kind, 0.1, 0.35, gamma_a, gamma_b)
+        assert tables.shape == (121, 4, 9)
+        for table, ga, gb in zip(tables, gamma_a.tolist(), gamma_b.tolist()):
+            assert table.tobytes() == closed_form_coefficients(kind, 0.1, 0.35, ga, gb).tobytes()
+
+    def test_bad_strengths_rejected(self):
+        with pytest.raises(GmqdError, match="^gamma_b must lie in \\[0, 1\\], got 1.5$"):
+            closed_form_coefficients(ChannelKind.DEPHASING, 0.2, 0.1, [0.1, 0.2], [0.3, 1.5])
 
 
 class TestOracle:

@@ -67,8 +67,8 @@ def test_coefficient_tables_bound_the_c36_c39_pair(monkeypatch):
 
     def shifted(rho):
         coeffs = measured(rho)
-        coeffs[2, 5] += 0.6e-10
-        coeffs[2, 8] += 0.6e-10
+        coeffs[..., 2, 5] += 0.6e-10
+        coeffs[..., 2, 8] += 0.6e-10
         return coeffs
 
     monkeypatch.setattr(verify, "correlation_matrix", shifted)
@@ -101,7 +101,7 @@ def incomplete_depolarizing(qubit_coeffs):
     def broken(kind, g):
         coeffs = qubit_coeffs(kind, g)
         if kind is ChannelKind.DEPOLARIZING:
-            coeffs[0, 0] = np.sqrt(1.0 - 0.70 * g)
+            coeffs[..., 0, 0] = np.sqrt(1.0 - 0.70 * g)
         return coeffs
 
     return broken
@@ -119,12 +119,15 @@ def scaled_basis_element(standard_basis):
 
 
 def reweighted(kind, squared_weights, at=lambda g: True):
-    """A complete but wrong unitary-mixture table for ``kind`` wherever ``at(g)`` holds."""
+    """A complete but wrong unitary-mixture table for ``kind`` at the strengths where ``at(g)`` holds."""
     def breaks(make_coeffs):
         def broken(k, g):
-            if k is kind and at(g):
-                return np.diag(np.sqrt(squared_weights(g)))
-            return make_coeffs(k, g)
+            coeffs = make_coeffs(k, g)
+            if k is kind:
+                weights = np.sqrt(np.stack(np.broadcast_arrays(g, *squared_weights(g))[1:], axis=-1))
+                wrong = weights[..., None, :] * np.eye(weights.shape[-1])
+                coeffs = np.where(np.asarray(at(g))[..., None, None], wrong, coeffs)
+            return coeffs
 
         return broken
 
@@ -159,8 +162,9 @@ def reweighted(kind, squared_weights, at=lambda g: True):
     }, "gammas=(0.00,1.00)"),
     (dynamics, "closed_form", lambda f: shift_value(f, 1e-6), CLOSED_FORM_GROUPS,
      "worst at b="),
-    # the numeric value of the sweep path that gmqd sweep writes; the
-    # equivalence and oracle checks call gmqd_numeric directly and still pass
+    # the numeric value of the sweep path that gmqd sweep writes; the oracle
+    # check calls gmqd_numeric directly and the equivalence checks compare
+    # sweep rows with each other, where the shift cancels, so they still pass
     (dynamics, "gmqd_numeric", lambda f: shift_value(f, 1e-6),
      CLOSED_FORM_GROUPS | {"qutrit-endpoint-positivity"}, "worst at b="),
     (verify, "gmqd_oracle", lambda f: shift_value(f, -1e-5), {"oracle-agreement"},
@@ -168,11 +172,14 @@ def reweighted(kind, squared_weights, at=lambda g: True):
     (verify, "gmqd_dakic_two_qubit", lambda f: shift_value(f, 1e-6), {"werner-cross-check"},
      "worst at b=0.05"),
     # a route that returns NaN fails its checks, located at its first NaN;
-    # the NaN rows of the sweep path count as vanished in no-sudden-death
+    # the NaN rows of the sweep path count as vanished in no-sudden-death and
+    # fail the equivalence checks, which read the same rows
     (dynamics, "closed_form", lambda f: shift_value(f, math.nan), CLOSED_FORM_GROUPS,
      "worst at b=0.2, c=0.1, gammas=(0.00,0.00)"),
     (dynamics, "gmqd_numeric", lambda f: shift_value(f, math.nan),
-     CLOSED_FORM_GROUPS | {"no-sudden-death", "qutrit-endpoint-positivity"},
+     CLOSED_FORM_GROUPS | {
+         "no-sudden-death", "qubit-only-equivalence", "qutrit-only-equivalence", "qutrit-endpoint-positivity",
+     },
      "worst at b=0.2, c=0.1, gammas=(0.00,0.00)"),
     (verify, "closed_form_coefficients", lambda f: shift_value(f, math.nan),
      {f"coefficient-tables/{kind.value}" for kind in ChannelKind},
