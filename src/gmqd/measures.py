@@ -189,14 +189,11 @@ def gmqd_numeric(rho: DensityMatrix) -> GmqdResult:
     return GmqdResult(value, theta, phi, clamped, degenerate)
 
 
-# np.float_power is C pow per element, as ** on a Python float, so values keep the
-# bits they had as floats; np.square (x * x) differs in the last bit for ~1 in 1200.
-
 def _qubit_decay(kind: ChannelKind, g):
     """Factor A_k(g) by which qubit noise of strength g scales the noiseless discord."""
     if kind is ChannelKind.DEPHASING:
         return 1.0 - g
-    return np.float_power(1.0 - g, 2)
+    return np.square(1.0 - g)
 
 
 def _qutrit_decay(kind: ChannelKind, g):
@@ -207,7 +204,7 @@ def _qutrit_decay(kind: ChannelKind, g):
         return (6.0 + 5.0 * (g - 2.0) * g) / 6.0
     if kind is ChannelKind.BIT_PHASE_FLIP:
         return (12.0 + g * (9.0 * g - 20.0)) / 12.0
-    return np.float_power(1.0 - g, 2)
+    return np.square(1.0 - g)
 
 
 def closed_form(kind: ChannelKind, b: float, c: float, gamma_a, gamma_b):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,16 @@ class TestClosedForm:
             for g in (0.0, 0.5, 1.0)
         ]
         assert values == pytest.approx([0.005, 0.0025, 0.0])
+
+
+    def test_squared_decay_factors_are_correctly_rounded(self):
+        # 1 - g = exp(-3.75) is a default time-sweep point where C pow misrounds the square
+        g = np.append(np.random.default_rng(3).uniform(0.0, 1.0, 20000), 1.0 - 0.023517745856009076)
+        exact = [float(Fraction(x) ** 2) for x in (1.0 - g).tolist()]
+        for kind in (ChannelKind.PHASE_FLIP, ChannelKind.BIT_FLIP, ChannelKind.DEPOLARIZING):
+            assert measures._qubit_decay(kind, g).tolist() == exact
+        for kind in (ChannelKind.PHASE_FLIP, ChannelKind.DEPOLARIZING):
+            assert measures._qutrit_decay(kind, g).tolist() == exact
 
 
 class TestClosedFormCoefficients:
