@@ -37,7 +37,6 @@ from .states import (
     TwoParamState,
     bell_state,
     initial_state,
-    random_density,
     werner_state,
 )
 from .verify import VerificationReport, run_verification
@@ -71,7 +70,6 @@ __all__ = [
     "initial_state",
     "qubit_kraus",
     "qutrit_kraus",
-    "random_density",
     "run_sweep",
     "run_verification",
     "standard_basis",

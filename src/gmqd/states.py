@@ -145,10 +145,3 @@ def werner_state(z: float) -> DensityMatrix:
     vec[2] = -1.0 / np.sqrt(2.0)
     rho = z * np.outer(vec, vec.conj()) + (1.0 - z) * np.eye(4, dtype=complex) / 4.0
     return DensityMatrix(rho)
-
-
-def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random full-rank state from a complex Ginibre factor."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return DensityMatrix(rho / np.trace(rho).real)

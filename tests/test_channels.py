@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_density
 from gmqd.channels import (
     ChannelKind,
     KrausSet,
@@ -18,7 +19,7 @@ from gmqd.channels import (
     qutrit_kraus,
 )
 from gmqd.errors import GmqdError
-from gmqd.states import DensityMatrix, TwoParamState, initial_state, random_density
+from gmqd.states import DensityMatrix, TwoParamState, initial_state
 
 NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_density
 from gmqd import measures
 from gmqd.channels import PAULI, ChannelKind, Locality, NoiseScenario, apply_scenario, gammas_at_time
 from gmqd.dynamics import gamma_grid, time_grid
@@ -25,7 +26,6 @@ from gmqd.states import (
     DensityMatrix,
     TwoParamState,
     initial_state,
-    random_density,
     werner_state,
 )
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_density
 from gmqd.errors import GmqdError
 from gmqd.states import (
     DensityMatrix,
@@ -12,7 +13,6 @@ from gmqd.states import (
     bell_state,
     flat_index,
     initial_state,
-    random_density,
     werner_state,
 )
 
