@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the cross-check suite")
-    verify.add_argument("--quick", action="store_true", help="reduced grids, about 0.35 s wall on 2 vCPUs")
+    verify.add_argument("--quick", action="store_true", help="reduced grids, about 0.3 s wall on 2 vCPUs")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--inject-fault", action="store_true",

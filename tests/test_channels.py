@@ -53,17 +53,15 @@ class TestGammaOfT:
         with pytest.raises(GmqdError, match="decay rate must be nonnegative"):
             gamma_of_t(0.1, -1.0)
 
-    @pytest.mark.parametrize("locality", list(Locality), ids=lambda x: x.value)
-    def test_arrays_equal_scalar_calls(self, locality):
+    def test_arrays_equal_scalar_calls(self):
         times = np.concatenate([np.linspace(0.0, 8.0, 101), [1e-300, 0.5e-16, 30.0, 800.0, 1e9]])
         gammas = gamma_of_t(times, 1.9)
         assert gammas.shape == times.shape
-        for gamma, t in zip(gammas.tolist(), times.tolist()):
-            assert np.float64(gamma).tobytes() == np.float64(gamma_of_t(t, 1.9)).tobytes()
-        pair = np.broadcast_arrays(*gammas_at_time(locality, times, 0.7, 1.9))
-        for ga, gb, t in zip(*pair, times.tolist()):
-            one = gammas_at_time(locality, t, 0.7, 1.9)
-            assert np.array([ga, gb]).tobytes() == np.array(one).tobytes()
+        assert gammas.tobytes() == np.array([gamma_of_t(t, 1.9) for t in times.tolist()]).tobytes()
+        for locality in Locality:
+            pair = np.broadcast_arrays(*gammas_at_time(locality, times, 0.7, 1.9))
+            one_by_one = [gammas_at_time(locality, t, 0.7, 1.9) for t in times.tolist()]
+            assert np.stack(pair, axis=-1).tobytes() == np.array(one_by_one).tobytes()
 
     @pytest.mark.parametrize("times, message", [
         ([0.0, -1.0, np.nan, -2.0], "^time must be nonnegative, got -1.0$"),
@@ -297,21 +295,12 @@ class TestApplyScenario:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_evolve_keeps_each_zero_strength_side_exactly(self, kind, rng):
         rho = random_density(6, rng)
-        gamma_a = [0.0, 0.3, 0.0, 0.3, 1.0, 0.0]
-        gamma_b = [0.0, 0.0, 0.6, 0.6, 0.0, 1.0]
+        # strengths and whole pairs repeat: each state gets its own Kraus sets
+        gamma_a = [0.0, 0.3, 0.0, 0.3, 1.0, 0.0, 0.3, 0.7]
+        gamma_b = [0.0, 0.0, 0.6, 0.6, 0.0, 1.0, 0.6, 0.6]
         out = evolve(rho, kind, gamma_a, gamma_b)
-        assert out.mat.shape == (6, 6, 6)
+        assert out.mat.shape == (8, 6, 6)
         assert out.mat[0].tobytes() == rho.mat.tobytes()
-        for mat, ga, gb in zip(out.mat, gamma_a, gamma_b):
-            one = apply_scenario(rho, NoiseScenario(kind, Locality.MULTI_LOCAL, ga, gb))
-            assert mat.tobytes() == one.mat.tobytes()
-
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-    def test_evolve_with_repeated_strengths_matches_one_state_calls(self, kind, rng):
-        rho = random_density(6, rng)
-        gamma_a = [0.3, 0.3, 0.7, 0.3, 0.7, 0.0, 0.3]
-        gamma_b = [0.6, 0.6, 0.6, 0.2, 0.2, 0.6, 0.6]
-        out = evolve(rho, kind, gamma_a, gamma_b)
         for mat, ga, gb in zip(out.mat, gamma_a, gamma_b):
             one = apply_scenario(rho, NoiseScenario(kind, Locality.MULTI_LOCAL, ga, gb))
             assert mat.tobytes() == one.mat.tobytes()
