@@ -35,7 +35,6 @@ from .measures import (
 from .states import (
     DensityMatrix,
     TwoParamState,
-    bell_state,
     initial_state,
     werner_state,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TwoParamState",
     "VerificationReport",
     "apply_scenario",
-    "bell_state",
     "closed_form_coefficients",
     "correlation_matrix",
     "evolve",

@@ -245,8 +245,7 @@ def evolve(rho: DensityMatrix, kind: ChannelKind, gamma_a, gamma_b) -> DensityMa
     of its active states with one :func:`qubit_kraus` or
     :func:`qutrit_kraus` call.  The output is revalidated.
     """
-    if rho.dim != 6:
-        raise GmqdError(f"scenario application needs a 6x6 state, got {rho.dim}")
+    rho.require(6, "scenario application")
     shape = np.broadcast_shapes(rho.mat.shape[:-2], np.shape(gamma_a), np.shape(gamma_b))
     mats = np.array(np.broadcast_to(rho.mat, shape + (6, 6))).reshape(-1, 6, 6)
     for gammas, make_set in ((gamma_a, qubit_kraus), (gamma_b, qutrit_kraus)):

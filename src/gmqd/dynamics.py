@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
@@ -75,8 +74,6 @@ class SweepSpec:
         grid = tuple(float(x) for x in self.grid)
         if not grid:
             raise GmqdError("sweep grid is empty")
-        if not all(math.isfinite(x) for x in grid):
-            raise GmqdError("sweep grid must be finite")
         # rates are checked on both axes, although only time sweeps use them
         check_nonnegative(self.rate_a, "decay rate")
         check_nonnegative(self.rate_b, "decay rate")
@@ -85,12 +82,13 @@ class SweepSpec:
                 "sweep scenario strengths must be 0, since the grid sets them; "
                 f"got gamma_a={self.scenario.gamma_a!r}, gamma_b={self.scenario.gamma_b!r}"
             )
-        if any(hi <= lo for lo, hi in zip(grid, grid[1:])):
-            raise GmqdError("sweep grid must be strictly increasing")
+        # the axis's domain check also rejects NaN and infinities
         if self.axis is SweepAxis.GAMMA:
             check_gamma(grid, "gamma grid")
-        if self.axis is SweepAxis.TIME:
-            check_nonnegative(grid[0], "time grid")
+        else:
+            check_nonnegative(grid, "time grid")
+        if any(hi <= lo for lo, hi in zip(grid, grid[1:])):
+            raise GmqdError("sweep grid must be strictly increasing")
         if (
             self.coupling is Coupling.INDEPENDENT
             and self.axis is SweepAxis.GAMMA

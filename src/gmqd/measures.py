@@ -114,8 +114,7 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     1-based (i in 1..4, j in 1..9) in documentation and output; storage is
     0-based.  The (1, 1) entry equals 1/sqrt(6) for any unit-trace state.
     """
-    if rho.dim != 6:
-        raise GmqdError(f"correlation matrix needs a 6x6 state, got {rho.dim}")
+    rho.require(6, "correlation matrix")
     coeffs = np.einsum("kij,...ji->...k", _product_basis(), rho.mat)
     worst = float(np.max(np.abs(coeffs.imag)))
     if worst > COEFF_IMAG_TOL:
@@ -138,11 +137,18 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     return float(theta), float(phi)
 
 
-def _clamped(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each raw value with a roundoff negative zeroed, and which were; raises below the window."""
+def _spectral_result(raw: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> GmqdResult:
+    """A spectral route's result from its raw values and the (..., 3) eigenpairs behind them.
+
+    Roundoff negatives are zeroed and flagged ``clamped``; a value below the
+    clamp window raises.  The angles are the top direction's.  One state
+    gives floats and bools, a stack gives arrays.
+    """
     reject_first(~(raw >= -VALUE_CLAMP_TOL), raw, "discord value {!r} below the roundoff clamp window")
     clamped = raw < 0.0
-    return np.where(clamped, 0.0, raw), clamped
+    direction, degenerate = _top_direction(evals, evecs)
+    fields = (np.where(clamped, 0.0, raw), *_angles_from_direction(direction), clamped, degenerate)
+    return GmqdResult(*(f.item() if np.ndim(raw) == 0 else f for f in fields))
 
 
 def _top_direction(evals: np.ndarray, evecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,12 +187,7 @@ def gmqd_numeric(rho: DensityMatrix) -> GmqdResult:
     coeffs = correlation_matrix(rho)
     gram = coeffs @ coeffs.swapaxes(-1, -2)
     evals, evecs = np.linalg.eigh(gram[..., 1:, 1:])
-    value, clamped = _clamped(evals[..., 0] + evals[..., 1])
-    direction, degenerate = _top_direction(evals, evecs)
-    theta, phi = _angles_from_direction(direction)
-    if rho.mat.ndim == 2:
-        return GmqdResult(float(value), float(theta), float(phi), bool(clamped), bool(degenerate))
-    return GmqdResult(value, theta, phi, clamped, degenerate)
+    return _spectral_result(evals[..., 0] + evals[..., 1], evals, evecs)
 
 
 def _qubit_decay(kind: ChannelKind, g):
@@ -207,6 +208,14 @@ def _qutrit_decay(kind: ChannelKind, g):
     return np.square(1.0 - g)
 
 
+def _closed_form_inputs(b: float, c: float, gamma_a, gamma_b) -> tuple[np.ndarray, np.ndarray]:
+    """Check (b, c) and both strengths, and return the strengths as arrays."""
+    TwoParamState.from_bc(b, c)  # reject unphysical parameters early
+    check_gamma(gamma_a, "gamma_a")
+    check_gamma(gamma_b, "gamma_b")
+    return np.asarray(gamma_a, dtype=float), np.asarray(gamma_b, dtype=float)
+
+
 def closed_form(kind: ChannelKind, b: float, c: float, gamma_a, gamma_b):
     """Closed-form discord (b - c)^2 / 2 * A_k(gamma_a) * B_k(gamma_b) of the evolved family state.
 
@@ -214,10 +223,7 @@ def closed_form(kind: ChannelKind, b: float, c: float, gamma_a, gamma_b):
     (b, c) are checked once.  An idle side has strength 0, where its factor
     is 1, so local-only noise needs no branch of its own.
     """
-    TwoParamState.from_bc(b, c)  # reject unphysical parameters early
-    check_gamma(gamma_a, "gamma_a")
-    check_gamma(gamma_b, "gamma_b")
-    gamma_a, gamma_b = np.asarray(gamma_a, dtype=float), np.asarray(gamma_b, dtype=float)
+    gamma_a, gamma_b = _closed_form_inputs(b, c, gamma_a, gamma_b)
     return 0.5 * (b - c) ** 2 * _qubit_decay(kind, gamma_a) * _qutrit_decay(kind, gamma_b)
 
 
@@ -233,10 +239,7 @@ def closed_form_coefficients(kind: ChannelKind, b: float, c: float, gamma_a, gam
     the same strengths: numbers, or equal-shape arrays giving a (..., 4, 9)
     stack.  An idle side has strength 0, so local noise needs no table.
     """
-    TwoParamState.from_bc(b, c)
-    check_gamma(gamma_a, "gamma_a")
-    check_gamma(gamma_b, "gamma_b")
-    ga, gb = np.asarray(gamma_a, dtype=float), np.asarray(gamma_b, dtype=float)
+    ga, gb = _closed_form_inputs(b, c, gamma_a, gamma_b)
     diff = b - c
     pop = 2.0 - 9.0 * b - 3.0 * c  # population imbalance entering the (1, 7) entry
     out = np.zeros(np.broadcast_shapes(ga.shape, gb.shape) + (4, 9))
@@ -286,13 +289,6 @@ def _pinching_distance(rho_mat: np.ndarray, theta: np.ndarray, phi: np.ndarray) 
     return 2.0 * np.sum(np.abs(weights @ blocks) ** 2, axis=-1)
 
 
-def _check_one_state(rho: DensityMatrix, dim: int, route: str) -> None:
-    if rho.mat.ndim != 2:
-        raise GmqdError(f"{route} needs one state, got a stack of {len(rho.mat)}")
-    if rho.dim != dim:
-        raise GmqdError(f"{route} needs a {dim}x{dim} state, got {rho.dim}")
-
-
 _PATTERN = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
@@ -307,7 +303,7 @@ def gmqd_oracle(rho: DensityMatrix, restarts: int = ORACLE_DEFAULT_RESTARTS) -> 
     improves, down to ORACLE_STEP_TOL.  Deterministic for a given input.  This
     route is deliberately independent of the correlation-matrix machinery.
     """
-    _check_one_state(rho, 6, "oracle")
+    rho.require(6, "oracle", one=True)
     check_count(restarts, "restarts", 1)
 
     thetas, phis = np.meshgrid(
@@ -353,11 +349,8 @@ def gmqd_dakic_two_qubit(rho: DensityMatrix) -> GmqdResult:
     The angles follow the same convention as :func:`gmqd_numeric` (see
     :func:`_top_direction`).
     """
-    _check_one_state(rho, 4, "two-qubit formula")
+    rho.require(4, "two-qubit formula", one=True)
     bloch, corr = _pauli_components(rho.mat)
     k = np.outer(bloch, bloch) + corr @ corr.T
     evals, evecs = np.linalg.eigh(k)
-    value, clamped = _clamped(0.25 * (bloch @ bloch + np.sum(corr * corr) - evals[-1]))
-    direction, degenerate = _top_direction(evals, evecs)
-    theta, phi = _angles_from_direction(direction)
-    return GmqdResult(float(value), float(theta), float(phi), bool(clamped), bool(degenerate))
+    return _spectral_result(0.25 * (bloch @ bloch + np.sum(corr * corr) - evals[-1]), evals, evecs)

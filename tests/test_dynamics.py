@@ -63,7 +63,12 @@ class TestSweepSpecValidation:
             grid = (0.0, 0.5, bad)
         else:
             kwargs[where] = bad
-        message = "sweep grid must be finite" if where == "grid" else "decay rate must be finite"
+        if where != "grid":
+            message = "decay rate must be finite"
+        elif axis is SweepAxis.GAMMA:  # each axis's domain check names the value
+            message = f"^gamma grid must lie in \\[0, 1\\], got {bad}$"
+        else:
+            message = f"^time grid must be finite, got {bad}$"
         with pytest.raises(GmqdError, match=message):
             spec_for(ChannelKind.DEPHASING, Locality.MULTI_LOCAL, grid, axis=axis, **kwargs)
 

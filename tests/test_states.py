@@ -10,8 +10,6 @@ from gmqd.errors import GmqdError
 from gmqd.states import (
     DensityMatrix,
     TwoParamState,
-    bell_state,
-    flat_index,
     initial_state,
     werner_state,
 )
@@ -51,25 +49,6 @@ class TestTwoParamState:
         weights[slot] = bad
         with pytest.raises(GmqdError, match="weights must be finite"):
             TwoParamState(*weights)
-
-
-class TestBellStates:
-    def test_projector_traces(self):
-        for kind in ("phi+", "phi-", "psi+", "psi-"):
-            proj = bell_state(kind)
-            assert np.trace(proj).real == pytest.approx(1.0)
-            assert np.allclose(proj @ proj, proj)
-
-    def test_phi_plus_coherence_entry(self):
-        proj = bell_state("phi+")
-        assert proj[flat_index(0, 0), flat_index(1, 1)] == pytest.approx(0.5)
-
-    def test_orthogonality(self):
-        assert np.allclose(bell_state("psi+") @ bell_state("psi-"), np.zeros((6, 6)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(GmqdError, match="unknown Bell state 'chi\\+'"):
-            bell_state("chi+")
 
 
 class TestInitialState:
