@@ -8,8 +8,8 @@ byte-identical output, stderr and exit codes on every case, so comparing the
 lines of two checkouts shows whether a change moved any output.  The list
 covers gamma and time sweeps of every channel kind and locality, surfaces,
 ``compute`` (by strengths, by time, with the oracle), quick and full
-``verify``, ``--inject-fault`` and rejected inputs; ``--quick`` runs a
-shorter list of the same shapes.
+``verify``, ``--inject-fault``, rejected inputs and a few edge cases;
+``--quick`` runs a shorter list of the same shapes.
 
 Usage:
     python scripts/output_digests.py [--quick] > digests.txt
@@ -44,6 +44,14 @@ REJECTED = (
     ["sweep", "--b", "0.2", "--c", "0.1", "--coupling", "independent", "--locality", "qubit-only"],
     ["verify", "--quick", "--seed", "-1"],
     ["--config", "no-such-dir/missing.cfg", "channels"],
+)
+
+# a derived a of -7.5e-13, inside the PARAM_TOL window; an explicit a that meets the sum rule;
+# an output path whose directory is missing (exit 3)
+EDGES = (
+    ["compute", "--b", "0.2", "--c", "0.4000000000015"],
+    ["compute", "--b", "0.2", "--c", "0.1", "--a", "0.15"],
+    ["channels", "--output", "no-such-dir/out.txt"],
 )
 
 
@@ -87,7 +95,7 @@ def cases(quick: bool) -> list[list[str]]:
     out.append(["verify", "--quick", "--inject-fault"])
     if not quick:
         out += [["verify", "--quick", "--seed", "3"], ["verify"], ["verify", "--inject-fault"]]
-    return out + [list(argv) for argv in REJECTED]
+    return out + [list(argv) for argv in REJECTED + EDGES]
 
 
 def run_case(argv: list[str]) -> tuple[int, str, str]:

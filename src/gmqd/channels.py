@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GmqdError, check_gamma, check_nonnegative, reject_first
+from .errors import GmqdError, broadcast_shape, check_gamma, check_nonnegative, reject_first
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12
@@ -238,15 +238,20 @@ def evolve(rho: DensityMatrix, kind: ChannelKind, gamma_a, gamma_b) -> DensityMa
     """Evolve states through the kind's qubit channel, then its qutrit channel.
 
     ``rho`` is one 6x6 state or an (N, 6, 6) stack; the strengths
-    ``gamma_a`` (qubit) and ``gamma_b`` (qutrit) are numbers or arrays,
-    broadcast against the stack, so one state with N strength pairs gives
-    N states.  A side acts on a state where its strength is nonzero; where
-    it is 0 the state keeps its matrix exactly.  Each side builds the sets
-    of its active states with one :func:`qubit_kraus` or
-    :func:`qutrit_kraus` call.  The output is revalidated.
+    ``gamma_a`` (qubit) and ``gamma_b`` (qutrit) are numbers or arrays.  The
+    stack's shape, () or (N,), and the two strength shapes must broadcast
+    together to () or to (M,) with M >= 1, and the output is one state or
+    that (M, 6, 6) stack: one state with M strength pairs gives M states,
+    and N states with one pair give N.  Any other shapes raise GmqdError
+    before a state is evolved.  A side acts on a state where its strength
+    is nonzero; where it is 0 the state keeps its matrix exactly.  Each
+    side builds the sets of its active states with one :func:`qubit_kraus`
+    or :func:`qutrit_kraus` call.  The output is revalidated.
     """
     rho.require(6, "scenario application")
-    shape = np.broadcast_shapes(rho.mat.shape[:-2], np.shape(gamma_a), np.shape(gamma_b))
+    shape = broadcast_shape("states, gamma_a and gamma_b", rho.mat.shape[:-2], np.shape(gamma_a), np.shape(gamma_b))
+    if len(shape) > 1 or 0 in shape:
+        raise GmqdError(f"states and strengths must broadcast to one state or a nonempty 1-D stack, got shape {shape}")
     mats = np.array(np.broadcast_to(rho.mat, shape + (6, 6))).reshape(-1, 6, 6)
     for gammas, make_set in ((gamma_a, qubit_kraus), (gamma_b, qutrit_kraus)):
         gammas = np.broadcast_to(np.asarray(gammas, dtype=float), shape).ravel()

@@ -4,7 +4,8 @@ Every input or domain error gmqd raises is a :class:`GmqdError`, a
 ``ValueError`` whose message names the rule that failed; the CLI maps it to
 exit code 2.  A rule that more than one module applies lives here, once:
 :func:`check_count` for counts and seeds, :func:`check_nonnegative` for
-decay rates and times, :func:`check_gamma` for channel strengths, and
+decay rates and times, :func:`check_gamma` for channel strengths,
+:func:`broadcast_shape` for strength arrays that must fit together, and
 :func:`reject_first` for a rule applied to a stack of states or channels.
 """
 
@@ -39,6 +40,14 @@ def check_gamma(value, name: str) -> None:
     """Reject a channel strength, or an array holding one, outside [0, 1], NaN included."""
     values = np.asarray(value, dtype=float)
     reject_first(~((values >= 0.0) & (values <= 1.0)), values, f"{name} must lie in [0, 1], got {{!r}}")
+
+
+def broadcast_shape(what: str, *shapes: tuple) -> tuple:
+    """The shape ``shapes`` broadcast to; raise naming ``what`` and the shapes where they do not."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise GmqdError(f"{what} do not broadcast together, got shapes {', '.join(map(str, shapes))}") from None
 
 
 def reject_first(bad, values, message: str) -> None:

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import PAULI, ChannelKind, NoiseScenario
-from .errors import GmqdError, check_count, check_gamma, reject_first
+from .errors import GmqdError, broadcast_shape, check_count, check_gamma, reject_first
 from .states import DensityMatrix, TwoParamState
 
 SQRT2 = np.sqrt(2.0)
@@ -209,19 +209,22 @@ def _qutrit_decay(kind: ChannelKind, g):
 
 
 def _closed_form_inputs(b: float, c: float, gamma_a, gamma_b) -> tuple[np.ndarray, np.ndarray]:
-    """Check (b, c) and both strengths, and return the strengths as arrays."""
+    """Check (b, c) and both strengths, and return the strengths as arrays of their broadcast shape."""
     TwoParamState.from_bc(b, c)  # reject unphysical parameters early
     check_gamma(gamma_a, "gamma_a")
     check_gamma(gamma_b, "gamma_b")
-    return np.asarray(gamma_a, dtype=float), np.asarray(gamma_b, dtype=float)
+    ga, gb = np.asarray(gamma_a, dtype=float), np.asarray(gamma_b, dtype=float)
+    shape = broadcast_shape("gamma_a and gamma_b", ga.shape, gb.shape)
+    return np.broadcast_to(ga, shape), np.broadcast_to(gb, shape)
 
 
 def closed_form(kind: ChannelKind, b: float, c: float, gamma_a, gamma_b):
     """Closed-form discord (b - c)^2 / 2 * A_k(gamma_a) * B_k(gamma_b) of the evolved family state.
 
-    The strengths are numbers or equal-shape arrays, and so is the result;
-    (b, c) are checked once.  An idle side has strength 0, where its factor
-    is 1, so local-only noise needs no branch of its own.
+    The strengths are numbers or arrays that broadcast together, and the
+    result has their broadcast shape; (b, c) are checked once.  An idle side
+    has strength 0, where its factor is 1, so local-only noise needs no
+    branch of its own.
     """
     gamma_a, gamma_b = _closed_form_inputs(b, c, gamma_a, gamma_b)
     return 0.5 * (b - c) ** 2 * _qubit_decay(kind, gamma_a) * _qutrit_decay(kind, gamma_b)
@@ -236,13 +239,14 @@ def closed_form_coefficients(kind: ChannelKind, b: float, c: float, gamma_a, gam
     """Tabulated 4x9 correlation coefficients of the evolved family state.
 
     Matches :func:`correlation_matrix` after :func:`gmqd.channels.evolve` at
-    the same strengths: numbers, or equal-shape arrays giving a (..., 4, 9)
-    stack.  An idle side has strength 0, so local noise needs no table.
+    the same strengths: numbers, or arrays that broadcast together to a
+    shape S, giving an S + (4, 9) stack.  An idle side has strength 0, so
+    local noise needs no table.
     """
     ga, gb = _closed_form_inputs(b, c, gamma_a, gamma_b)
     diff = b - c
     pop = 2.0 - 9.0 * b - 3.0 * c  # population imbalance entering the (1, 7) entry
-    out = np.zeros(np.broadcast_shapes(ga.shape, gb.shape) + (4, 9))
+    out = np.zeros(ga.shape + (4, 9))
     out[..., 0, 0] = 1.0 / SQRT6
     if kind is ChannelKind.DEPHASING:
         out[..., 0, 6] = -pop / (2.0 * SQRT3)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_density
+from gmqd import channels
 from gmqd.channels import (
     ChannelKind,
     KrausSet,
@@ -309,6 +310,23 @@ class TestApplyScenario:
         rho = DensityMatrix(np.eye(6) / 6)
         with pytest.raises(GmqdError, match="gamma_b must lie in \\[0, 1\\], got 1.5"):
             evolve(rho, ChannelKind.DEPHASING, [0.2, 0.4], [0.3, 1.5])
+
+    def test_evolve_rejects_a_two_qubit_state(self):
+        with pytest.raises(GmqdError, match="^scenario application needs a 6x6 state, got 4$"):
+            evolve(DensityMatrix(np.eye(4) / 4), ChannelKind.DEPHASING, 0.3, 0.3)
+
+    def test_evolve_rejects_strengths_that_do_not_fit_the_stack(self):
+        stack = DensityMatrix(np.stack([np.eye(6) / 6] * 3))
+        with pytest.raises(GmqdError, match="do not broadcast together, got shapes \\(3,\\), \\(4,\\), \\(\\)$"):
+            evolve(stack, ChannelKind.DEPHASING, np.full(4, 0.3), 0.3)
+
+    def test_evolve_rejects_a_two_dimensional_strength_array(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a state was evolved")
+
+        monkeypatch.setattr(channels, "_apply_ops", forbidden)
+        with pytest.raises(GmqdError, match="one state or a nonempty 1-D stack, got shape \\(2, 3\\)$"):
+            evolve(DensityMatrix(np.eye(6) / 6), ChannelKind.DEPHASING, np.full((2, 3), 0.3), 0.3)
 
     def test_subsystem_application_order_is_irrelevant(self, rng):
         from gmqd.channels import _apply_ops

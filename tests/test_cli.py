@@ -143,6 +143,26 @@ class TestCompute:
         assert "2a+3b+c" in err
 
 
+    def test_derived_a_inside_the_weight_window_is_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "--b", "0.2", "--c", "0.4000000000015")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["a"] == pytest.approx(-7.5e-13, abs=1e-15)
+        assert doc["d_numeric"] == pytest.approx(doc["d_closed"], abs=1e-12)
+
+    def test_derived_a_outside_the_weight_window_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "--b", "0.2", "--c", "0.4000000000025")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 2a+3b+c=1 gives a=-1.25")
+
+    def test_output_into_a_missing_directory_exits_3(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli(capsys, "compute", "--b", "0.2", "--c", "0.1", "--output", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and str(target) in err
+        assert not target.parent.exists()
+
+
 class TestSweep:
     def test_default_grid_row_count(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -339,6 +359,41 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.cfg"))
         assert code == 3
         assert "config" in err
+
+
+    def test_blank_and_comment_lines_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# state\n\nb 0.2\n   \n  # the rest\nc 0.1\n")
+        from_cfg = run_cli(capsys, "compute", "--config", str(cfg))
+        assert from_cfg[0] == 0
+        assert from_cfg == run_cli(capsys, "compute", "--b", "0.2", "--c", "0.1")
+
+    def test_line_without_a_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b 0.2\n= 0.1\n")
+        code, out, err = run_cli(capsys, "compute", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: bad config line: '= 0.1'\n"
+
+    def test_config_flag_without_a_path_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "channels", "--config")
+        assert (code, out, err) == (2, "", "error: --config needs a file path\n")
+
+    def test_equals_form_matches_the_spaced_form(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b 0.2\nc 0.1\n")
+        spaced = run_cli(capsys, "compute", "--config", str(cfg))
+        assert spaced[0] == 0
+        assert run_cli(capsys, "compute", f"--config={cfg}") == spaced
+
+    @pytest.mark.parametrize("rest", [(), ("--c", "0.1", "compute")], ids=["nothing", "flag-first"])
+    def test_config_before_anything_but_a_command_exits_2(self, capsys, tmp_path, rest):
+        # the file's flags go first unless a command leads, so argparse reads a value as the command
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b 0.2\nc 0.1\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), *rest)
+        assert (code, out) == (2, "")
+        assert "invalid choice: '0.2'" in err
 
 
 class TestChannelsCommand:

@@ -35,6 +35,7 @@ SQRT6 = np.sqrt(6.0)
 ALL_SCENARIOS = [
     NoiseScenario(kind, locality) for kind in ChannelKind for locality in Locality
 ]
+SHAPES_3_4 = "^gamma_a and gamma_b do not broadcast together, got shapes \\(3,\\), \\(4,\\)$"
 
 
 def family_state(b, c):
@@ -146,6 +147,14 @@ class TestCorrelationMatrix:
     def test_dimension_check(self, rng):
         with pytest.raises(GmqdError, match="correlation matrix needs a 6x6 state, got 4"):
             correlation_matrix(random_density(4, rng))
+
+    def test_anti_hermitian_part_within_the_state_tolerance_is_rejected(self):
+        # 4e-10 off the diagonal passes DensityMatrix but leaves imaginary correlations
+        mat = np.eye(6, dtype=complex) / 6
+        mat[0, 1], mat[1, 0] = 4e-10, -4e-10
+        rho = DensityMatrix(mat)
+        with pytest.raises(GmqdError, match="^correlation coefficients have imaginary parts up to 4.000e-10$"):
+            correlation_matrix(rho)
 
 
 class TestGmqdNumeric:
@@ -286,7 +295,8 @@ class TestClosedForm:
         (0.2, 0.1, [0.1, 1.2], [0.1, 0.2], "^gamma_a must lie in \\[0, 1\\], got 1.2$"),
         (0.2, 0.1, [0.1, 0.2], [np.nan, 0.2], "^gamma_b must lie in \\[0, 1\\], got nan$"),
         (0.2, 0.1, -0.1, 0.0, "^gamma_a must lie in \\[0, 1\\], got -0.1$"),
-    ], ids=["unphysical", "nan-b", "gamma-a-array", "gamma-b-nan", "gamma-a-scalar"])
+        (0.2, 0.1, [0.1] * 3, [0.1] * 4, SHAPES_3_4),
+    ], ids=["unphysical", "nan-b", "gamma-a-array", "gamma-b-nan", "gamma-a-scalar", "shapes"])
     def test_closed_form_rejects_bad_input(self, b, c, gamma_a, gamma_b, message):
         with pytest.raises(GmqdError, match=message):
             closed_form(ChannelKind.DEPOLARIZING, b, c, np.array(gamma_a), np.array(gamma_b))
@@ -355,9 +365,13 @@ class TestClosedFormCoefficients:
         for table, ga, gb in zip(tables, gamma_a.tolist(), gamma_b.tolist()):
             assert table.tobytes() == closed_form_coefficients(kind, 0.1, 0.35, ga, gb).tobytes()
 
-    def test_bad_strengths_rejected(self):
-        with pytest.raises(GmqdError, match="^gamma_b must lie in \\[0, 1\\], got 1.5$"):
-            closed_form_coefficients(ChannelKind.DEPHASING, 0.2, 0.1, [0.1, 0.2], [0.3, 1.5])
+    @pytest.mark.parametrize("gamma_a, gamma_b, message", [
+        ([0.1, 0.2], [0.3, 1.5], "^gamma_b must lie in \\[0, 1\\], got 1.5$"),
+        ([0.1] * 3, [0.1] * 4, SHAPES_3_4),
+    ], ids=["range", "shapes"])
+    def test_bad_strengths_rejected(self, gamma_a, gamma_b, message):
+        with pytest.raises(GmqdError, match=message):
+            closed_form_coefficients(ChannelKind.DEPHASING, 0.2, 0.1, gamma_a, gamma_b)
 
 
 class TestOracle:

@@ -35,3 +35,5 @@ def test_output_digests_repeat(monkeypatch, capsys):
     assert codes["verify --quick"] == 0
     assert codes["verify --quick --inject-fault"] == 1
     assert codes["compute --b 0.2 --c 0.1 --time -1"] == 2
+    assert codes["compute --b 0.2 --c 0.4000000000015"] == 0
+    assert codes["channels --output no-such-dir/out.txt"] == 3

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,29 @@ class TestTwoParamState:
     def test_negative_weight_rejected(self):
         with pytest.raises(GmqdError, match="c must be nonnegative"):
             TwoParamState(a=0.55, b=0.1, c=-0.4)
+
+    # a = (1 - 3b - c)/2 is -7.5e-13 here, inside the PARAM_TOL = 1e-12 window ...
+    INSIDE = (0.2, 0.4 + 1.5e-12)
+    # ... and -1.25e-12 here, outside it
+    OUTSIDE = (0.2, 0.4 + 2.5e-12)
+
+    def test_from_bc_accepts_a_derived_a_inside_the_window(self):
+        p = TwoParamState.from_bc(*self.INSIDE)
+        assert p.a == pytest.approx(-7.5e-13, abs=1e-15)
+        assert (p.b, p.c) == self.INSIDE
+
+    def test_from_bc_rejects_a_derived_a_outside_the_window(self):
+        with pytest.raises(GmqdError, match="^2a\\+3b\\+c=1 gives a=-1.25\\d*e-12 < 0 for b=0.2, c=0.4$"):
+            TwoParamState.from_bc(*self.OUTSIDE)
+
+    def test_direct_entry_holds_the_same_window(self):
+        TwoParamState(-7.5e-13, *self.INSIDE)
+        with pytest.raises(GmqdError, match="gives a=-1.25"):
+            TwoParamState(-1.25e-12, *self.OUTSIDE)
+
+    def test_direct_entry_rejects_a_negative_a_as_from_bc_does(self):
+        with pytest.raises(GmqdError, match="^2a\\+3b\\+c=1 gives a=-0.1 < 0 for b=0.2, c=0.6$"):
+            TwoParamState(a=-0.1, b=0.2, c=0.6)
 
     @given(bad=NON_FINITE, good=st.floats(0.0, 0.3), slot=st.integers(0, 1))
     def test_from_bc_rejects_non_finite(self, bad, good, slot):
@@ -105,6 +129,11 @@ class TestDensityMatrix:
         bad[0, 1] = 0.3
         with pytest.raises(GmqdError, match="deviation from Hermitian is 3.000e-01"):
             DensityMatrix(bad)
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 2, 6, 6)], ids=["1-D", "4-D"])
+    def test_wrong_rank_rejected(self, shape):
+        with pytest.raises(GmqdError, match=re.escape(f"expected a nonempty 2-D matrix or 3-D stack, got shape {shape}")):
+            DensityMatrix(np.ones(shape) / 6)
 
     def test_not_square(self):
         with pytest.raises(GmqdError, match="density matrix must be square"):
