@@ -51,7 +51,7 @@ class TwoParamState:
         weights = {"a": self.a, "b": self.b, "c": self.c}
         if not all(math.isfinite(v) for v in weights.values()):
             raise GmqdError("weights must be finite, got " + ", ".join(f"{k}={v!r}" for k, v in weights.items()))
-        # checked before the sum, whose roundoff grows with b and c
+        # before the sum rule: for a large (b, c) from from_bc the sum misses 1 by roundoff alone
         room = _room_for_a(self.b, self.c)
         if room < -PARAM_TOL:
             raise GmqdError(f"2a+3b+c=1 gives a={room:.6g} < 0 for b={self.b:.6g}, c={self.c:.6g}")

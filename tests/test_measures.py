@@ -365,13 +365,13 @@ class TestClosedFormCoefficients:
         for table, ga, gb in zip(tables, gamma_a.tolist(), gamma_b.tolist()):
             assert table.tobytes() == closed_form_coefficients(kind, 0.1, 0.35, ga, gb).tobytes()
 
-    @pytest.mark.parametrize("gamma_a, gamma_b, message", [
-        ([0.1, 0.2], [0.3, 1.5], "^gamma_b must lie in \\[0, 1\\], got 1.5$"),
-        ([0.1] * 3, [0.1] * 4, SHAPES_3_4),
-    ], ids=["range", "shapes"])
-    def test_bad_strengths_rejected(self, gamma_a, gamma_b, message):
-        with pytest.raises(GmqdError, match=message):
-            closed_form_coefficients(ChannelKind.DEPHASING, 0.2, 0.1, gamma_a, gamma_b)
+    def test_bad_strengths_rejected(self):
+        with pytest.raises(GmqdError, match="^gamma_b must lie in \\[0, 1\\], got 1.5$"):
+            closed_form_coefficients(ChannelKind.DEPHASING, 0.2, 0.1, [0.1, 0.2], [0.3, 1.5])
+
+    def test_strengths_that_do_not_broadcast_are_rejected(self):
+        with pytest.raises(GmqdError, match=SHAPES_3_4):
+            closed_form_coefficients(ChannelKind.DEPHASING, 0.2, 0.1, [0.1] * 3, [0.1] * 4)
 
 
 class TestOracle:

@@ -51,6 +51,11 @@ class TestTwoParamState:
         with pytest.raises(GmqdError, match="^2a\\+3b\\+c=1 gives a=-1.25\\d*e-12 < 0 for b=0.2, c=0.4$"):
             TwoParamState.from_bc(*self.OUTSIDE)
 
+    def test_from_bc_names_the_derived_a_of_far_out_weights(self):
+        # here 2a + 3b + c misses 1 by 9.3e-11 of roundoff alone, so the sum rule must not speak first
+        with pytest.raises(GmqdError, match="^2a\\+3b\\+c=1 gives a=-1.5e\\+06 < 0 for b=1e\\+06, c=0.1$"):
+            TwoParamState.from_bc(1e6, 0.1)
+
     def test_direct_entry_holds_the_same_window(self):
         TwoParamState(-7.5e-13, *self.INSIDE)
         with pytest.raises(GmqdError, match="gives a=-1.25"):
