@@ -104,22 +104,12 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 def _add_state_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b", type=float, required=True, help="family weight b")
-    parser.add_argument("--c", type=float, required=True, help="family weight c")
-    parser.add_argument(
-        "--a", type=float, default=None,
-        help="family weight a (optional; checked against 2a+3b+c=1)",
-    )
+    parser.add_argument("--c", type=float, required=True, help="family weight c (a follows from 2a+3b+c=1)")
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--channel", choices=CHANNEL_NAMES, default="dephasing")
     parser.add_argument("--locality", choices=LOCALITY_NAMES, default="multi-local")
-
-
-def _state_params(args) -> TwoParamState:
-    if args.a is not None:
-        return TwoParamState(a=args.a, b=args.b, c=args.c)
-    return TwoParamState.from_bc(args.b, args.c)
 
 
 def _compute_scenario(args) -> NoiseScenario:
@@ -148,7 +138,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_compute(args) -> int:
-    params = _state_params(args)
+    params = TwoParamState.from_bc(args.b, args.c)
     scenario = _compute_scenario(args)
     check_count(args.oracle_restarts, "restarts", 1)  # also without --with-oracle
     evolved = apply_scenario(initial_state(params), scenario)
@@ -177,7 +167,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params = _state_params(args)
+    params = TwoParamState.from_bc(args.b, args.c)
     check_count(args.seed, "seed", 0)  # only a metadata label here, held to verify's rule
     axis = SweepAxis(args.axis)
     coupling = Coupling(args.coupling)
@@ -275,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle-restarts", type=int, default=ORACLE_DEFAULT_RESTARTS,
         help="best grid cells the oracle's pattern search refines",
     )
-    compute.add_argument("--format", choices=("json",), default="json")
     compute.add_argument("--output", default=None, help="output path (default: stdout)")
     compute.set_defaults(func=cmd_compute)
 

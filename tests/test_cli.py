@@ -23,7 +23,7 @@ RATES = ("--rate-a", "--rate-b")
 
 OUT_OF_DOMAIN_COMPUTE = st.one_of(
     st.tuples(
-        st.sampled_from(("--b", "--c", "--a", "--gamma-a", "--gamma-b", "--time", *RATES)),
+        st.sampled_from(("--b", "--c", "--gamma-a", "--gamma-b", "--time", *RATES)),
         NON_FINITE.map(repr),
     ),
     st.tuples(st.sampled_from(RATES), NEGATIVE.map(repr)),
@@ -135,13 +135,12 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error:")
 
-    def test_explicit_abc_consistency_check(self, capsys):
-        code, _, err = run_cli(
-            capsys, "compute", "--a", "0.3", "--b", "0.2", "--c", "0.1",
-        )
-        assert code == 2
-        assert "2a+3b+c" in err
-
+    @pytest.mark.parametrize("flag", [("--a", "0.15"), ("--format", "json")], ids=["a", "format"])
+    def test_removed_flags_exit_2(self, capsys, flag):
+        # a follows from b and c, and JSON is compute's only format
+        code, out, err = run_cli(capsys, "compute", "--b", "0.2", "--c", "0.1", *flag)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_derived_a_inside_the_weight_window_is_accepted(self, capsys):
         code, out, err = run_cli(capsys, "compute", "--b", "0.2", "--c", "0.4000000000015")
@@ -457,3 +456,9 @@ class TestBadUsage:
 
     def test_missing_required_flag_exits_2(self, capsys):
         assert run_cli(capsys, "compute", "--b", "0.2")[0] == 2
+
+    @pytest.mark.parametrize("command, removed", [("compute", ("--a ", "--format")), ("sweep", ("--a ",))])
+    def test_help_omits_removed_flags(self, capsys, command, removed):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and "--b B" in out
+        assert not any(flag in out for flag in removed)
