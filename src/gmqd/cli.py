@@ -2,12 +2,16 @@
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 I/O failure.
 All configuration comes from flags or from a ``--config`` file holding one
-flag per line (``name value`` or ``name = value``, no leading dashes).
+flag per line (``name value`` or ``name = value``, no leading dashes).  Each
+command checks its inputs, then opens ``--output``, then does its work, so a
+rejected input leaves the output path untouched and an unusable path fails
+before any work or stdout line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -95,10 +99,10 @@ def _expand_config(argv: list[str]) -> list[str]:
             out.append(token)
             i += 1
     if pending:
-        if out and not out[0].startswith("-"):
-            out = [out[0], *pending, *out[1:]]
-        else:
-            out = [*pending, *out]
+        # the file's flags follow the command, so argparse never reads a value as one
+        if not out or out[0].startswith("-"):
+            raise GmqdError("--config needs a command to apply to: compute, sweep, verify or channels")
+        out = [out[0], *pending, *out[1:]]
     return out
 
 
@@ -128,46 +132,51 @@ def _compute_scenario(args) -> NoiseScenario:
     return NoiseScenario(kind=kind, locality=locality, gamma_a=ga, gamma_b=gb)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
+def _open_output(path: str | None):
+    """The ``--output`` file opened for writing, or None for stdout, as a context manager."""
+    return contextlib.nullcontext() if path is None else open(path, "w")
+
+
+def _write_text(out, text: str) -> None:
+    if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(path).write_text(text)
+        out.write(text)
 
 
 def cmd_compute(args) -> int:
     params = TwoParamState.from_bc(args.b, args.c)
     scenario = _compute_scenario(args)
     check_count(args.oracle_restarts, "restarts", 1)  # also without --with-oracle
-    evolved = apply_scenario(initial_state(params), scenario)
-    numeric = gmqd_numeric(evolved)
-    closed = gmqd_closed_form(scenario, params.b, params.c)
-    doc = {
-        "version": __version__,
-        "b": params.b,
-        "c": params.c,
-        "a": params.a,
-        "scenario": {"channel": scenario.kind.value, "locality": scenario.locality.value},
-        "gamma_a": scenario.gamma_a,
-        "gamma_b": scenario.gamma_b,
-        "d_numeric": numeric.value,
-        "d_closed": closed,
-        "argmax_theta": numeric.argmax_theta,
-        "argmax_phi": numeric.argmax_phi,
-        "argmax_degenerate": numeric.degenerate,
-        "clamped": numeric.clamped,
-        "abs_err": abs(numeric.value - closed),
-    }
-    if args.with_oracle:
-        doc["d_oracle"] = gmqd_oracle(evolved, restarts=args.oracle_restarts).value
-    _write_text(args.output, json.dumps(doc, indent=2))
+    with _open_output(args.output) as out:
+        evolved = apply_scenario(initial_state(params), scenario)
+        numeric = gmqd_numeric(evolved)
+        closed = gmqd_closed_form(scenario, params.b, params.c)
+        doc = {
+            "version": __version__,
+            "b": params.b,
+            "c": params.c,
+            "a": params.a,
+            "scenario": {"channel": scenario.kind.value, "locality": scenario.locality.value},
+            "gamma_a": scenario.gamma_a,
+            "gamma_b": scenario.gamma_b,
+            "d_numeric": numeric.value,
+            "d_closed": closed,
+            "argmax_theta": numeric.argmax_theta,
+            "argmax_phi": numeric.argmax_phi,
+            "argmax_degenerate": numeric.degenerate,
+            "clamped": numeric.clamped,
+            "abs_err": abs(numeric.value - closed),
+        }
+        if args.with_oracle:
+            doc["d_oracle"] = gmqd_oracle(evolved, restarts=args.oracle_restarts).value
+        _write_text(out, json.dumps(doc, indent=2))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    params = TwoParamState.from_bc(args.b, args.c)
     check_count(args.seed, "seed", 0)  # only a metadata label here, held to verify's rule
     axis = SweepAxis(args.axis)
     coupling = Coupling(args.coupling)
@@ -182,31 +191,31 @@ def cmd_sweep(args) -> int:
     grid = gamma_grid(points) if axis is SweepAxis.GAMMA else times
     spec = SweepSpec(
         scenario=NoiseScenario(ChannelKind(args.channel), Locality(args.locality)),
-        b=params.b,
-        c=params.c,
+        b=args.b,
+        c=args.c,
         grid=grid,
         axis=axis,
         coupling=coupling,
         rate_a=args.rate_a,
         rate_b=args.rate_b,
     )
-    rows = run_sweep(spec)
-    if args.format == "json":
-        text = json.dumps(sweep_json_doc(spec, rows, seed=args.seed, version=__version__), indent=2)
-    else:
-        text = sweep_csv_text(spec, rows, seed=args.seed, version=__version__)
-    _write_text(args.output, text)
+    with _open_output(args.output) as out:
+        rows = run_sweep(spec)
+        if args.format == "json":
+            text = json.dumps(sweep_json_doc(spec, rows, seed=args.seed, version=__version__), indent=2)
+        else:
+            text = sweep_csv_text(spec, rows, seed=args.seed, version=__version__)
+        _write_text(out, text)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    report = run_verification(seed=args.seed, quick=args.quick, inject_fault=args.inject_fault)
-    for line in report.lines():
-        print(line)
-    if args.output is not None:
-        _write_text(args.output, report.to_json())
-    else:
-        print(report.to_json())
+    check_count(args.seed, "seed", 0)
+    with _open_output(args.output) as out:
+        report = run_verification(seed=args.seed, quick=args.quick, inject_fault=args.inject_fault)
+        for line in report.lines():
+            print(line)
+        _write_text(out, report.to_json())
     if not report.passed:
         worst = report.worst_failure()
         print(f"error: verification failed at {worst.name}", file=sys.stderr)
@@ -215,26 +224,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_channels(args) -> int:
-    catalog = {
-        "version": __version__,
-        "channels": [
-            {
-                "name": kind.value,
-                "qubit_ops": len(qubit_kraus(kind, 0.5).ops),
-                "qutrit_ops": len(qutrit_kraus(kind, 0.5).ops),
-            }
-            for kind in ChannelKind
-        ],
-        "localities": list(LOCALITY_NAMES),
-    }
-    if args.format == "json":
-        _write_text(args.output, json.dumps(catalog, indent=2))
-    else:
-        lines = ["channel            qubit ops  qutrit ops"]
-        for entry in catalog["channels"]:
-            lines.append(f"{entry['name']:<18} {entry['qubit_ops']:>9}  {entry['qutrit_ops']:>10}")
-        lines.append("localities: " + ", ".join(catalog["localities"]))
-        _write_text(args.output, "\n".join(lines))
+    with _open_output(args.output) as out:
+        catalog = {
+            "version": __version__,
+            "channels": [
+                {
+                    "name": kind.value,
+                    "qubit_ops": len(qubit_kraus(kind, 0.5).ops),
+                    "qutrit_ops": len(qutrit_kraus(kind, 0.5).ops),
+                }
+                for kind in ChannelKind
+            ],
+            "localities": list(LOCALITY_NAMES),
+        }
+        if args.format == "json":
+            _write_text(out, json.dumps(catalog, indent=2))
+        else:
+            lines = ["channel            qubit ops  qutrit ops"]
+            for entry in catalog["channels"]:
+                lines.append(f"{entry['name']:<18} {entry['qubit_ops']:>9}  {entry['qutrit_ops']:>10}")
+            lines.append("localities: " + ", ".join(catalog["localities"]))
+            _write_text(out, "\n".join(lines))
     return EXIT_OK
 
 

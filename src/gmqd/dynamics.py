@@ -52,6 +52,7 @@ def time_grid(
 class SweepSpec:
     """One sweep: scenario template, state parameters, axis and grid.
 
+    ``b`` and ``c`` must give a physical family state (:class:`TwoParamState`).
     ``scenario`` fixes the channel kind and locality; its gamma fields must be
     0, since the grid sets both strengths point by point.  A time point t
     gives the strengths ``gammas_at_time(locality, t, rate_a, rate_b)``.
@@ -71,6 +72,7 @@ class SweepSpec:
     rate_b: float = 1.0
 
     def __post_init__(self):
+        TwoParamState.from_bc(self.b, self.c)  # the weight rules, before any sweep is run
         grid = tuple(float(x) for x in self.grid)
         if not grid:
             raise GmqdError("sweep grid is empty")

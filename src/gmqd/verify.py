@@ -43,6 +43,8 @@ from .channels import (
 from .dynamics import Coupling, SweepSpec, gamma_grid, run_sweep
 from .errors import GmqdError, check_count
 from .measures import (
+    GmqdResult,
+    _pinching_distance,
     closed_form_coefficients,
     correlation_matrix,
     gmqd_dakic_two_qubit,
@@ -50,13 +52,14 @@ from .measures import (
     gmqd_oracle,
     standard_basis,
 )
-from .states import TwoParamState, initial_state, werner_state
+from .states import DensityMatrix, TwoParamState, initial_state, werner_state
 
 TOL_BASIS = 1e-12
 TOL_COEFFS = 1e-10
 TOL_CLOSED = 1e-8
 TOL_ORACLE = 1e-8
 TOL_ORACLE_UNDERSHOOT = 1e-6
+TOL_ANGLE = 1e-12
 TOL_WERNER = 1e-8
 TOL_EQUIVALENCE = 1e-10
 TOL_ASYMPTOTE = 1e-8
@@ -260,19 +263,33 @@ def sample_point(rng: np.random.Generator) -> tuple[float, float, NoiseScenario]
     return b, c, NoiseScenario(kind, locality, *gammas)
 
 
-def _oracle(seed: int, quick: bool) -> Evaluations:
-    # TOL_ORACLE is below TOL_ORACLE_UNDERSHOOT, so an undershoot past its
-    # bound fails the check through its deviation alone; the label says why
+def _samples(seed: int, quick: bool) -> Iterator[tuple[str, DensityMatrix, GmqdResult]]:
+    """The random samples of the oracle and angle checks: location, evolved state, numeric result."""
     rng = np.random.default_rng(seed)
     for _ in range(3 if quick else 60):
         b, c, scenario = sample_point(rng)
         evolved = apply_scenario(initial_state(TwoParamState.from_bc(b, c)), scenario)
-        numeric = gmqd_numeric(evolved).value
-        oracle = gmqd_oracle(evolved, restarts=8 if quick else 32).value
         where = f"worst at b={b:.4g}, c={c:.4g}, {scenario.kind.value}/{scenario.locality.value}"
-        if oracle < numeric - TOL_ORACLE_UNDERSHOOT:
+        yield where, evolved, gmqd_numeric(evolved)
+
+
+def _oracle(seed: int, quick: bool) -> Evaluations:
+    # TOL_ORACLE is below TOL_ORACLE_UNDERSHOOT, so an undershoot past its
+    # bound fails the check through its deviation alone; the label says why
+    for where, evolved, numeric in _samples(seed, quick):
+        oracle = gmqd_oracle(evolved, restarts=8 if quick else 32).value
+        if oracle < numeric.value - TOL_ORACLE_UNDERSHOOT:
             where += " (oracle fell below the numeric value)"
-        yield abs(oracle - numeric), where
+        yield abs(oracle - numeric.value), where
+
+
+def _angle_certificate(seed: int, quick: bool) -> Evaluations:
+    # at the optimal basis the pinching distance is the discord (Luo & Fu,
+    # PRA 82, 034302 (2010)); the oracle's kernel reads rho's blocks and
+    # shares no code with the correlation route that found the angles
+    for where, evolved, numeric in _samples(seed, quick):
+        angles = np.asarray(numeric.argmax_theta), np.asarray(numeric.argmax_phi)
+        yield abs(float(_pinching_distance(evolved.mat, *angles)) - numeric.value), where
 
 
 def _werner(quick: bool) -> Evaluations:
@@ -343,6 +360,7 @@ def run_verification(seed: int = 0, quick: bool = False, inject_fault: bool = Fa
             for group, specs in _closed_vs_numeric_groups(quick)
         ),
         _tally("oracle-agreement", TOL_ORACLE, _oracle(seed, quick)),
+        _tally("angle-certificate", TOL_ANGLE, _angle_certificate(seed, quick)),
         _tally("werner-cross-check", TOL_WERNER, _werner(quick)),
         _tally("no-sudden-death", TOL_SUDDEN_DEATH, _no_sudden_death(quick)),
         # on the qubit, every kind but dephasing decays as (1 - gamma)^2

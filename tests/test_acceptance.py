@@ -34,6 +34,7 @@ QUALITATIVE = {  # name -> (tolerance, evaluations)
     "qutrit-only-equivalence": (1e-10, 11 * 2),
 }
 BASIS = {"hermitian-basis-orthonormality": 4**2 + 9**2}  # every Gram entry of both bases
+CERTIFICATE = {"angle-certificate": 60}  # the oracle samples, scored at the numeric route's angles
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +79,15 @@ def report(number, label, found, detail):
     assert passed, f"criterion {number} failed: {text}"
 
 
-def test_report_has_exactly_the_pinned_checks(full_report):
+def test_report_has_exactly_the_pinned_checks(full_report, checks):
     expected = (
-        set(CLOSED_FORM) | set(TABLES) | set(BASIS) | set(QUALITATIVE)
+        set(CLOSED_FORM) | set(TABLES) | set(BASIS) | set(QUALITATIVE) | set(CERTIFICATE)
         | {"kraus-completeness", "oracle-agreement", "werner-cross-check"}
     )
     names = [check.name for check in full_report.checks]
     assert sorted(names) == sorted(expected)
     assert full_report.passed
+    assert pinned(checks, CERTIFICATE, 1e-12) == []
 
 
 def test_criterion_1_closed_form_reproduction(checks):

@@ -387,12 +387,48 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("rest", [(), ("--c", "0.1", "compute")], ids=["nothing", "flag-first"])
     def test_config_before_anything_but_a_command_exits_2(self, capsys, tmp_path, rest):
-        # the file's flags go first unless a command leads, so argparse reads a value as the command
+        # the file's flags follow a command, so argparse never reads a config value as one
         cfg = tmp_path / "run.cfg"
         cfg.write_text("b 0.2\nc 0.1\n")
         code, out, err = run_cli(capsys, "--config", str(cfg), *rest)
         assert (code, out) == (2, "")
-        assert "invalid choice: '0.2'" in err
+        assert err == "error: --config needs a command to apply to: compute, sweep, verify or channels\n"
+
+
+BAD_INPUT = {  # one rejected input per command that does work
+    "compute": ("compute", "--b", "0.2", "--c", "nan"),
+    "sweep": ("sweep", "--b", "0.5", "--c", "0.5", "--points", "3"),
+    "verify": ("verify", "--quick", "--seed", "-1"),
+}
+GOOD_INPUT = {
+    "compute": ("compute", "--b", "0.2", "--c", "0.1"),
+    "sweep": ("sweep", "--b", "0.2", "--c", "0.1", "--points", "3"),
+    "verify": ("verify", "--quick"),
+}
+WORK = {"compute": "apply_scenario", "sweep": "run_sweep", "verify": "run_verification"}
+
+
+class TestOutputAfterInputsBeforeWork:
+    @pytest.mark.parametrize("command", sorted(GOOD_INPUT))
+    def test_unusable_output_fails_before_any_work(self, capsys, monkeypatch, tmp_path, command):
+        def work(*args, **kwargs):
+            raise AssertionError(f"{WORK[command]} ran before --output was opened")
+
+        monkeypatch.setattr(gmqd.cli, WORK[command], work)
+        target = tmp_path / "missing" / "out"
+        code, out, err = run_cli(capsys, *GOOD_INPUT[command], "--output", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and str(target) in err
+
+    @pytest.mark.parametrize("earlier", [b"earlier run\n", None], ids=["existing-file", "new-path"])
+    @pytest.mark.parametrize("command", sorted(BAD_INPUT))
+    def test_rejected_input_leaves_the_output_path_as_it_was(self, capsys, tmp_path, command, earlier):
+        target = tmp_path / "out"
+        if earlier is not None:
+            target.write_bytes(earlier)
+        code, out, _ = run_cli(capsys, *BAD_INPUT[command], "--output", str(target))
+        assert (code, out) == (2, "")
+        assert (target.read_bytes() if target.exists() else None) == earlier
 
 
 class TestChannelsCommand:

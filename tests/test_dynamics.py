@@ -101,6 +101,10 @@ class TestSweepSpecValidation:
         with pytest.raises(GmqdError, match="t_max must be nonnegative"):
             time_grid(1, -1.0)
 
+    def test_unphysical_weights_rejected_when_built(self):
+        with pytest.raises(GmqdError, match="2a\\+3b\\+c=1 gives a=-0.5 < 0"):
+            SweepSpec(NoiseScenario(ChannelKind.DEPHASING, Locality.MULTI_LOCAL), 0.5, 0.5, (0.0, 0.5))
+
     def test_independent_coupling_needs_multilocal(self):
         with pytest.raises(GmqdError, match="independent gamma grids need multi-local noise"):
             spec_for(ChannelKind.DEPHASING, Locality.QUBIT_ONLY, (0.0, 0.5, 1.0),

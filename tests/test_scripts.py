@@ -38,4 +38,6 @@ def test_output_digests_repeat(monkeypatch, capsys):
     assert codes["verify --quick --inject-fault"] == 1
     assert codes["compute --b 0.2 --c 0.1 --time -1"] == 2
     assert codes["compute --b 0.2 --c 0.4000000000015"] == 0
+    assert codes["compute --b 0.2 --c 0.1 --a 0.15"] == 2
     assert codes["channels --output no-such-dir/out.txt"] == 3
+    assert codes["verify --quick --output no-such-dir/report.json"] == 3

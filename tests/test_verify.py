@@ -10,7 +10,7 @@ from gmqd.channels import ChannelKind, Locality, NoiseScenario
 from gmqd.errors import GmqdError, check_count
 from gmqd.states import TwoParamState, initial_state
 
-ALL_CHECKS = 21
+ALL_CHECKS = 22
 CLOSED_FORM_GROUPS = {
     "closed-form-vs-numeric/no-noise",
     *(f"closed-form-vs-numeric/multi-local/{kind.value}" for kind in ChannelKind),
@@ -221,6 +221,17 @@ def test_each_guarded_route_fails_its_checks(
     # every failure names where it failed, or what it raised
     assert all(c["detail"].startswith(("worst at ", "raised: ")) for c in failed)
     assert "error: verification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wrong", [lambda theta, phi: (theta, phi + 0.3), lambda theta, phi: (theta / 2, phi)],
+                         ids=["phi-plus-0.3", "half-theta"])
+def test_wrong_reported_angles_fail_the_angle_certificate(monkeypatch, wrong):
+    # the angles move no discord value, so only the certificate sees them;
+    # quick verify's three samples at seed 0 happen to miss both defects
+    angles = measures._angles_from_direction
+    monkeypatch.setattr(measures, "_angles_from_direction", lambda e: wrong(*angles(e)))
+    report = verify.run_verification(seed=0)
+    assert [c.name for c in report.checks if not c.passed] == ["angle-certificate"]
 
 
 def test_a_raising_check_keeps_its_name_tolerance_and_count(monkeypatch):
