@@ -16,7 +16,9 @@ checks and ``qutrit-endpoint-positivity`` read the rows of
 that path itself.  ``coefficient-tables`` scores each (b, c) as one stack of
 strength pairs through ``evolve``, ``correlation_matrix`` and
 ``closed_form_coefficients``; the oracle and Werner checks call their routes
-one state at a time.
+one state at a time.  ``angle-certificate`` evaluates the oracle's kernel at
+the angles ``gmqd_numeric`` reports for the oracle's samples, so it checks
+the measurement that ``gmqd compute`` emits beside the value.
 """
 
 from __future__ import annotations
