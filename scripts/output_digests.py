@@ -46,11 +46,13 @@ REJECTED = (
     ["--config", "no-such-dir/missing.cfg", "channels"],
 )
 
-# a derived a of -7.5e-13, inside the PARAM_TOL window; the removed --a flag (exit 2);
-# output paths whose directory is missing (exit 3, before any work or stdout line)
+# a derived a of -7.5e-13, inside the PARAM_TOL window; the removed --a flag, and --a
+# as a prefix of sweep's --axis (exit 2); output paths whose directory is missing
+# (exit 3, before any work or stdout line)
 EDGES = (
     ["compute", "--b", "0.2", "--c", "0.4000000000015"],
     ["compute", "--b", "0.2", "--c", "0.1", "--a", "0.15"],
+    ["sweep", "--b", "0.2", "--c", "0.1", "--a", "time"],
     ["channels", "--output", "no-such-dir/out.txt"],
     ["verify", "--quick", "--output", "no-such-dir/report.json"],
     ["compute", "--b", "0.2", "--c", "0.1", "--output", "no-such-dir/out.json"],

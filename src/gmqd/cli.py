@@ -5,7 +5,8 @@ All configuration comes from flags or from a ``--config`` file holding one
 flag per line (``name value`` or ``name = value``, no leading dashes).  Each
 command checks its inputs, then opens ``--output``, then does its work, so a
 rejected input leaves the output path untouched and an unusable path fails
-before any work or stdout line.
+before any work or stdout line.  Flags are spelled in full; a prefix of one
+is rejected.  Output ends in a newline, in a file as on stdout.
 """
 
 from __future__ import annotations
@@ -138,12 +139,10 @@ def _open_output(path: str | None):
 
 
 def _write_text(out, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        out.write(text)
+    """Write ``text`` to the output file, or to stdout if there is none, ending in a newline."""
+    if not text.endswith("\n"):
+        text += "\n"
+    (sys.stdout if out is None else out).write(text)
 
 
 def cmd_compute(args) -> int:
@@ -255,6 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Geometric discord of a two-parameter qubit-qutrit state family "
             "under dissipative channels."
         ),
+        allow_abbrev=False,  # here and on each command: a prefix such as --a is no flag
     )
     parser.add_argument(
         "--config", metavar="FILE",
@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compute = sub.add_parser("compute", help="discord of one evolved state, as JSON")
+    compute = sub.add_parser("compute", allow_abbrev=False, help="discord of one evolved state, as JSON")
     _add_state_args(compute)
     _add_scenario_args(compute)
     compute.add_argument("--gamma-a", type=float, default=None, help="qubit channel strength in [0, 1]")
@@ -278,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--output", default=None, help="output path (default: stdout)")
     compute.set_defaults(func=cmd_compute)
 
-    sweep = sub.add_parser("sweep", help="discord along a strength or time grid, as CSV")
+    sweep = sub.add_parser("sweep", allow_abbrev=False, help="discord along a strength or time grid, as CSV")
     _add_state_args(sweep)
     _add_scenario_args(sweep)
     sweep.add_argument("--axis", choices=("gamma", "time"), default="gamma")
@@ -299,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--output", default=None, help="output path (default: stdout)")
     sweep.set_defaults(func=cmd_sweep)
 
-    verify = sub.add_parser("verify", help="run the cross-check suite")
+    verify = sub.add_parser("verify", allow_abbrev=False, help="run the cross-check suite")
     verify.add_argument("--quick", action="store_true", help="reduced grids, about 0.3 s wall on 2 vCPUs")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
     verify.set_defaults(func=cmd_verify)
 
-    channels = sub.add_parser("channels", help="list channel kinds and localities")
+    channels = sub.add_parser("channels", allow_abbrev=False, help="list channel kinds and localities")
     channels.add_argument("--format", choices=("text", "json"), default="text")
     channels.add_argument("--output", default=None)
     channels.set_defaults(func=cmd_channels)

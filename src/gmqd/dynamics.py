@@ -19,8 +19,12 @@ if TYPE_CHECKING:
 DEFAULT_GAMMA_POINTS = 101  # line length on either axis
 DEFAULT_TIME_MAX = 5.0
 DEFAULT_SURFACE_POINTS = 33
-# points evolved and scored together; bounds the (chunk, n, 6, 6) temporaries
-SWEEP_CHUNK = 16
+# points evolved and scored together; bounds the (chunk, n, 6, 6) temporaries.
+# Any size gives the same rows bit for bit.  At 64 a 101-point line is two
+# chunks, and sweep-family points/s read +50% over 16 at +2.8% peak RSS
+# (BENCH_27.json).  128 cost 3-4% peak RSS, close to the benchmark's 5%
+# bound: the Kraus stack's copy and its conjugate grow with the chunk.
+SWEEP_CHUNK = 64
 
 
 class SweepAxis(Enum):

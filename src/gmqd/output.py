@@ -59,10 +59,13 @@ def sweep_csv_text(spec: SweepSpec, rows: Sequence[SweepRow], seed: int, version
     # version and seed open the file; the sweep parameters follow on one line
     lines = ["# gmqd sweep " + " ".join(pairs[:2]), "# " + " ".join(pairs[2:]), CSV_HEADER]
     spec_cells = ",".join(meta[key] for key in _SPEC_COLUMNS)
+    # one template per row, in CSV_HEADER's order; ``:.17g`` is format_float's rendering
     for row in rows:
-        cells = ["" if value is None else format_float(value) for value in _row_values(row)]
-        cells.insert(_SPEC_AT, spec_cells)
-        lines.append(",".join(cells))
+        t = "" if row.t is None else format_float(row.t)
+        lines.append(
+            f"{t},{row.gamma_a:.17g},{row.gamma_b:.17g},{spec_cells},"
+            f"{row.d_numeric:.17g},{row.d_closed:.17g},{row.abs_err:.17g}"
+        )
     return "\n".join(lines) + "\n"
 
 

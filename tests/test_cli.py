@@ -431,6 +431,26 @@ class TestOutputAfterInputsBeforeWork:
         assert (target.read_bytes() if target.exists() else None) == earlier
 
 
+class TestOutputFile:
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--b", "0.2", "--c", "0.1", "--gamma-a", "0.3", "--gamma-b", "0.6"),
+        ("verify", "--quick"),
+        ("channels", "--format", "json"),
+        ("channels",),
+        ("sweep", "--b", "0.2", "--c", "0.1", "--points", "5"),
+        ("sweep", "--b", "0.2", "--c", "0.1", "--points", "5", "--format", "json"),
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv if not a[0].isdigit()))
+    def test_file_bytes_equal_stdout_bytes(self, capsys, tmp_path, argv):
+        code, stdout, _ = run_cli(capsys, *argv)
+        target = tmp_path / "out"
+        code_file, _, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == code_file == 0
+        payload = target.read_bytes()
+        assert payload.endswith(b"\n") and not payload.endswith(b"\n\n")
+        # verify prints its check lines on stdout and writes only the report to the file
+        assert stdout.encode().endswith(payload)
+
+
 class TestChannelsCommand:
     def test_text_listing(self, capsys):
         code, out, _ = run_cli(capsys, "channels")
@@ -498,3 +518,17 @@ class TestBadUsage:
         code, out, _ = run_cli(capsys, command, "--help")
         assert code == 0 and "--b B" in out
         assert not any(flag in out for flag in removed)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep", "--b", "0.2", "--c", "0.1", "--a", "time"), "unrecognized arguments: --a time"),
+        (("sweep", "--b", "0.2", "--c", "0.1", "--point", "3"), "unrecognized arguments: --point 3"),
+        (("compute", "--b", "0.2", "--c", "0.1", "--with"), "unrecognized arguments: --with"),
+        (("verify", "--qu"), "unrecognized arguments: --qu"),
+        # --conf no longer reads as --config, so its value is taken for the command
+        (("--conf", "run.cfg", "channels"), "invalid choice: 'run.cfg'"),
+    ], ids=["sweep-a", "sweep-point", "compute-with", "verify-qu", "conf"])
+    def test_flag_prefixes_exit_2(self, capsys, argv, message):
+        # a prefix is no abbreviation: --a once ran a time sweep as --axis
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err

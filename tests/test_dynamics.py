@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmqd import channels
+from gmqd import channels, dynamics
 from gmqd.channels import ChannelKind, Locality, NoiseScenario, apply_scenario
 from gmqd.dynamics import (
     SWEEP_CHUNK,
@@ -174,7 +174,8 @@ class TestRunSweep:
     def test_rows_equal_their_points_evaluated_one_by_one(self, scenario, shape):
         # every shape spans more than two chunks, the last one partial
         if shape == "surface":
-            spec = spec_for(scenario.kind, scenario.locality, gamma_grid(7), coupling=Coupling.INDEPENDENT)
+            side = math.ceil(math.sqrt(2 * SWEEP_CHUNK + 3))
+            spec = spec_for(scenario.kind, scenario.locality, gamma_grid(side), coupling=Coupling.INDEPENDENT)
         elif shape == "time":
             spec = spec_for(scenario.kind, scenario.locality, time_grid(2 * SWEEP_CHUNK + 3, 8.0),
                             axis=SweepAxis.TIME, rate_a=0.7, rate_b=1.9)
@@ -188,6 +189,29 @@ class TestRunSweep:
             one = gmqd_numeric(apply_scenario(state, point)).value
             assert np.float64(row.d_numeric).tobytes() == np.float64(one).tobytes()
             assert row.d_closed == gmqd_closed_form(point, spec.b, spec.c)
+
+    @pytest.mark.parametrize("scenario, shape", [
+        (scenario, shape) for scenario in ALL_SCENARIOS for shape in ("gamma", "time", "surface")
+        if shape != "surface" or scenario.locality is Locality.MULTI_LOCAL
+    ], ids=lambda x: x if isinstance(x, str) else f"{x.kind.value}/{x.locality.value}")
+    def test_chunk_size_never_changes_a_row(self, monkeypatch, scenario, shape):
+        # SWEEP_CHUNK is a speed choice only: single points, partial chunks and one stack agree bitwise
+        if shape == "surface":
+            spec = spec_for(scenario.kind, scenario.locality, gamma_grid(11), coupling=Coupling.INDEPENDENT)
+        elif shape == "time":
+            spec = spec_for(scenario.kind, scenario.locality, time_grid(101, 8.0),
+                            axis=SweepAxis.TIME, rate_a=0.7, rate_b=1.9)
+        else:
+            spec = spec_for(scenario.kind, scenario.locality, gamma_grid(101))
+
+        def bits(rows):
+            return [tuple(None if v is None else v.hex() for v in dataclasses.astuple(row)) for row in rows]
+
+        runs = {}
+        for chunk in (1, 7, 16, 64, 1000):
+            monkeypatch.setattr(dynamics, "SWEEP_CHUNK", chunk)
+            runs[chunk] = bits(run_sweep(spec))
+        assert all(rows == runs[1] for rows in runs.values())
 
     def test_one_kraus_call_per_side_per_chunk(self, monkeypatch):
         # evolve looks the builders up through the channels module, where the
