@@ -3,9 +3,11 @@
 Each constructor returns the full operator set for one channel strength
 gamma in [0, 1], or one set per strength of a 1-D array, pre-embedded in the
 composite 6x6 space (qubit operators as op (x) I3, qutrit operators as
-I2 (x) op) so application code is uniform.  :func:`evolve` applies them to
-an (N, 6, 6) stack of states, each at its own pair of strengths;
-:func:`apply_scenario` is its one-state call.  Operator counts per kind:
+I2 (x) op).  :func:`evolve` evolves one state at M pairs of strengths in the
+image form: the products of the state with the kind's fixed terms are
+computed once per call, and each pair's state is one weighted sum of them;
+:func:`apply_scenario` is its one-pair call.  Both forms share one
+completeness rule.  Operator counts per kind:
 
     kind              qubit ops   qutrit ops
     dephasing         2           3
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,15 +76,31 @@ class Locality(Enum):
         )
 
 
+def _check_completeness(entries: np.ndarray, kdk: np.ndarray) -> np.ndarray:
+    """The one completeness rule for Kraus sets, given as operators or as coefficient tables.
+
+    ``entries`` are the sets' operator or coefficient entries and ``kdk`` the
+    (..., 6, 6) sums sum_k K_k^dag K_k, one per set.  The entries must be
+    finite and every sum within COMPLETENESS_TOL of I6 entrywise; a NaN
+    deviation fails too.  Returns the deviations, the first failing one
+    named.
+    """
+    if not np.isfinite(entries).all():
+        raise GmqdError("Kraus operator entries must be finite")
+    deviation = np.max(np.abs(kdk - _I6), axis=(-2, -1))
+    reject_first(~(deviation <= COMPLETENESS_TOL), deviation, "Kraus completeness violated by {:.3e}")
+    return deviation
+
+
 @dataclass(frozen=True)
 class KrausSet:
     """Kraus operators for one subsystem, already embedded as 6x6 matrices.
 
     ``ops`` is a read-only (n, 6, 6) set or (M, n, 6, 6) stack of sets; any
     sequence of 6x6 operators is accepted.  Construction enforces the one
-    completeness rule: finite entries, and max |sum_k K_k^dag K_k - I6|
-    within COMPLETENESS_TOL for every set.  ``completeness_error`` records
-    that deviation, a float for one set and a length-M array for a stack.
+    completeness rule (:func:`_check_completeness`) on every set.
+    ``completeness_error`` records each set's deviation, a float for one set
+    and a length-M array for a stack.
     """
 
     ops: np.ndarray
@@ -93,11 +112,8 @@ class KrausSet:
             raise GmqdError("Kraus set must be a nonempty sequence of matrices")
         if ops.shape[-2:] != (6, 6):
             raise GmqdError(f"Kraus operators must be 6x6, got {ops.shape[-2:]}")
-        if not np.isfinite(ops).all():
-            raise GmqdError("Kraus operator entries must be finite")
         rows = ops.reshape(ops.shape[:-3] + (-1, 6))  # each set's operators stacked vertically
-        deviation = np.max(np.abs(rows.conj().swapaxes(-1, -2) @ rows - _I6), axis=(-2, -1))
-        reject_first(deviation > COMPLETENESS_TOL, deviation, "Kraus completeness violated by {:.3e}")
+        deviation = _check_completeness(ops, rows.conj().swapaxes(-1, -2) @ rows)
         ops.setflags(write=False)
         deviation.setflags(write=False)
         object.__setattr__(self, "ops", ops)
@@ -134,11 +150,12 @@ def gammas_at_time(locality: Locality, t, rate_a: float, rate_b: float) -> tuple
 
 
 # Every Kraus operator is K_n = sum_m coeffs[n, m] T_m over a fixed stack of
-# terms T_m per kind, kept embedded in the 6x6 space.  Building, checking and
-# applying a set are then one array product each whatever its size, so every
-# channel kind costs about the same per point.  Unitary mixtures use their
-# unitaries as terms and a diagonal of weights; dephasing uses the level
-# projectors.
+# terms T_m per kind, kept embedded in the 6x6 space.  Unitary mixtures use
+# their unitaries as terms and a diagonal of weights; dephasing uses the
+# level projectors.  A side's channel is then
+# rho -> sum_{m,m'} G[m, m'] T_m rho T_m'^dag with the Gram table
+# G = coeffs^T coeffs, which is what evolve applies; qubit_kraus and
+# qutrit_kraus build the operators themselves.
 
 def _projectors(dim: int) -> list[np.ndarray]:
     return [np.diag(np.eye(dim)[k]).astype(complex) for k in range(dim)]
@@ -229,35 +246,86 @@ def qutrit_kraus(kind: ChannelKind, gamma_b) -> KrausSet:
     return _kraus(kind, gamma_b, "gamma_b", _qutrit_coeffs, _QUTRIT_TERMS[kind])
 
 
-def _apply_ops(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """sum_k K_k mat K_k^dag for each (6, 6) mat of a stack, with the (n, 6, 6) set ops[i] on mat i."""
-    return (ops @ mats[:, None] @ ops.conj().swapaxes(-1, -2)).sum(axis=1)
+def _side_pairs(kind: ChannelKind, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One side's term pairs (m, m') whose Gram entries can be nonzero, and T_m^dag T_m' for each.
+
+    Dephasing's projector terms mix, so it takes every pair; a unitary
+    mixture's table is diagonal, so it takes the diagonal.  The products
+    are flattened to (pairs, 36).
+    """
+    count = len(terms)
+    if kind is ChannelKind.DEPHASING:
+        first, second = np.divmod(np.arange(count * count), count)
+    else:
+        first = second = np.arange(count)
+    products = terms[first].conj().swapaxes(-1, -2) @ terms[second]
+    return first, second, products.reshape(len(first), 36)
+
+
+@lru_cache(maxsize=None)
+def _image_plan(kind: ChannelKind):
+    """The kind's fixed image structure, built on first use.
+
+    Returns both sides' :func:`_side_pairs` and the (K, 6, 6) left factors
+    A_m (x) B_k and right factors (A_m' (x) B_k')^dag of its K qubit pair x
+    qutrit pair images, qubit pair major.
+    """
+    qubit, qutrit = _QUBIT_TERMS[kind], _QUTRIT_TERMS[kind]
+    sides = _side_pairs(kind, qubit), _side_pairs(kind, qutrit)
+    (a_first, a_second, _), (b_first, b_second, _) = sides
+    left = (qubit[a_first][:, None] @ qutrit[b_first]).reshape(-1, 6, 6)
+    right = (qubit[a_second][:, None] @ qutrit[b_second]).reshape(-1, 6, 6).conj().swapaxes(-1, -2)
+    for shared in (*sides[0], *sides[1], left, right):  # every caller gets these same arrays
+        shared.setflags(write=False)
+    return sides, left, right
+
+
+def _gram_weights(kind: ChannelKind, gammas: np.ndarray, make_coeffs, side) -> np.ndarray:
+    """One side's (M, pairs) Gram weights at M strengths, held to the completeness rule."""
+    first, second, products = side
+    coeffs = make_coeffs(kind, gammas)
+    weights = (coeffs.swapaxes(-1, -2) @ coeffs)[:, first, second]
+    _check_completeness(coeffs, (weights @ products).reshape(-1, 6, 6))
+    return weights
+
+
+def _weighted_images(weights: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """sum_k weights[i, k] images[k] for each row i: (M, K) real weights, (K, 6, 6) images.
+
+    Each contiguous row is its own vector-matrix product over the images'
+    real and imaginary parts, so a state does not depend on how many are
+    summed with it; one (M, K) @ (K, 72) product would not guarantee that.
+    """
+    parts = images.reshape(len(images), 36).view(float)
+    rows = np.ascontiguousarray(weights)[:, None, :]
+    return (rows @ parts)[:, 0].view(complex).reshape(-1, 6, 6)
 
 
 def evolve(rho: DensityMatrix, kind: ChannelKind, gamma_a, gamma_b) -> DensityMatrix:
-    """Evolve states through the kind's qubit channel, then its qutrit channel.
+    """Evolve one state through the kind's qubit and qutrit channels at each pair of strengths.
 
-    ``rho`` is one 6x6 state or an (N, 6, 6) stack; the strengths
-    ``gamma_a`` (qubit) and ``gamma_b`` (qutrit) are numbers or arrays.  The
-    stack's shape, () or (N,), and the two strength shapes must broadcast
-    together to () or to (M,) with M >= 1, and the output is one state or
-    that (M, 6, 6) stack: one state with M strength pairs gives M states,
-    and N states with one pair give N.  Any other shapes raise GmqdError
-    before a state is evolved.  A side acts on a state where its strength
-    is nonzero; where it is 0 the state keeps its matrix exactly.  Each
-    side builds the sets of its active states with one :func:`qubit_kraus`
-    or :func:`qutrit_kraus` call.  The output is revalidated.
+    ``rho`` is one 6x6 state; a stack raises GmqdError.  The strengths
+    ``gamma_a`` (qubit) and ``gamma_b`` (qutrit) are numbers or arrays that
+    must broadcast together to () or to (M,) with M >= 1, and the output is
+    one state or that (M, 6, 6) stack; any other shape raises before a
+    state is evolved.  The images (A_m (x) B_k) rho (A_m' (x) B_k')^dag of
+    the kind's term pairs are computed once, and each pair's state is their
+    sum weighted by the two sides' Gram tables, from one
+    ``_qubit_coeffs`` and one ``_qutrit_coeffs`` call.  A state does not
+    depend on the other pairs it is evolved with, and where both strengths
+    are 0 each entry equals rho's.  The output is revalidated.
     """
-    rho.require(6, "scenario application")
-    shape = broadcast_shape("states, gamma_a and gamma_b", rho.mat.shape[:-2], np.shape(gamma_a), np.shape(gamma_b))
+    rho.require(6, "scenario application", one=True)
+    shape = broadcast_shape("gamma_a and gamma_b", np.shape(gamma_a), np.shape(gamma_b))
     if len(shape) > 1 or 0 in shape:
-        raise GmqdError(f"states and strengths must broadcast to one state or a nonempty 1-D stack, got shape {shape}")
-    mats = np.array(np.broadcast_to(rho.mat, shape + (6, 6))).reshape(-1, 6, 6)
-    for gammas, make_set in ((gamma_a, qubit_kraus), (gamma_b, qutrit_kraus)):
-        gammas = np.broadcast_to(np.asarray(gammas, dtype=float), shape).ravel()
-        active = np.flatnonzero(gammas)
-        if active.size:
-            mats[active] = _apply_ops(mats[active], make_set(kind, gammas[active]).ops)
+        raise GmqdError(f"strengths must broadcast to one state or a nonempty 1-D stack, got shape {shape}")
+    check_gamma(gamma_a, "gamma_a")
+    check_gamma(gamma_b, "gamma_b")
+    ga, gb = (np.broadcast_to(np.asarray(g, dtype=float), shape).ravel() for g in (gamma_a, gamma_b))
+    (qubit_side, qutrit_side), left, right = _image_plan(kind)
+    wa = _gram_weights(kind, ga, _qubit_coeffs, qubit_side)
+    wb = _gram_weights(kind, gb, _qutrit_coeffs, qutrit_side)
+    mats = _weighted_images((wa[:, :, None] * wb[:, None, :]).reshape(len(ga), -1), left @ rho.mat @ right)
     return DensityMatrix(mats.reshape(shape + (6, 6)))
 
 

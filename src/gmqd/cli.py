@@ -330,6 +330,10 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = _build_parser()
     try:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            # --config is spliced out above, so an option before the command is
+            # unknown; argparse would take its value for the command
+            parser.error(f"unrecognized arguments: {argv[0]}")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_BAD_INPUT

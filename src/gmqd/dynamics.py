@@ -19,12 +19,12 @@ if TYPE_CHECKING:
 DEFAULT_GAMMA_POINTS = 101  # line length on either axis
 DEFAULT_TIME_MAX = 5.0
 DEFAULT_SURFACE_POINTS = 33
-# points evolved and scored together; bounds the (chunk, n, 6, 6) temporaries.
-# Any size gives the same rows bit for bit.  At 64 a 101-point line is two
-# chunks, and sweep-family points/s read +50% over 16 at +2.8% peak RSS
-# (BENCH_27.json).  128 cost 3-4% peak RSS, close to the benchmark's 5%
-# bound: the Kraus stack's copy and its conjugate grow with the chunk.
-SWEEP_CHUNK = 64
+# points evolved and scored together; any size gives the same rows bit for
+# bit.  evolve's temporaries are a few (chunk, 36) arrays, so the chunk no
+# longer sets the peak: a 101x101 CLI surface peaked at 40.6 MiB for every
+# size from 64 to 1024.  At 128 every 101-point line and 10x10 surface is
+# one chunk.
+SWEEP_CHUNK = 128
 
 
 class SweepAxis(Enum):

@@ -11,9 +11,11 @@ tolerance and evaluation count.  ``quick=True`` shrinks the grids so the
 suite finishes in well under a second.
 
 ``closed-form-vs-numeric``, ``no-sudden-death``, the two ``*-equivalence``
-checks and ``qutrit-endpoint-positivity`` read the rows of
+checks, ``qutrit-endpoint-positivity`` and ``time-laws`` read the rows of
 :func:`gmqd.dynamics.run_sweep`, the path ``gmqd sweep`` runs, so they check
-that path itself.  ``coefficient-tables`` scores each (b, c) as one stack of
+that path itself.  ``time-laws`` scores time-axis rows against the decay
+laws in t alone, computed with :func:`math.exp`, so it sees a wrong gamma(t)
+that the closed form, reading the same strengths, cannot.  ``coefficient-tables`` scores each (b, c) as one stack of
 strength pairs through ``evolve``, ``correlation_matrix`` and
 ``closed_form_coefficients``; the oracle and Werner checks call their routes
 one state at a time.  ``angle-certificate`` evaluates the oracle's kernel at
@@ -42,7 +44,7 @@ from .channels import (
     qubit_kraus,
     qutrit_kraus,
 )
-from .dynamics import Coupling, SweepSpec, gamma_grid, run_sweep
+from .dynamics import Coupling, SweepAxis, SweepSpec, gamma_grid, run_sweep
 from .errors import GmqdError, check_count
 from .measures import (
     GmqdResult,
@@ -65,6 +67,7 @@ TOL_ANGLE = 1e-12
 TOL_WERNER = 1e-8
 TOL_EQUIVALENCE = 1e-10
 TOL_ASYMPTOTE = 1e-8
+TOL_TIME_LAW = 1e-13
 # exact: a sweep row scores 1.0 where the discord vanishes inside the grid, else 0.0
 TOL_SUDDEN_DEATH = 0.0
 
@@ -73,6 +76,12 @@ ENDPOINT_EPS = 1e-9  # rows with a strength this close to 1 are endpoints, exemp
 
 FULL_BC_POINTS = ((0.2, 0.1), (1.0 / 3.0, 0.0), (0.1, 0.35), (0.25, 0.25), (0.05, 0.6))
 QUICK_BC_POINTS = ((0.2, 0.1), (0.1, 0.35))
+
+# unequal, so swapped rates show; each grid ends at times where the
+# trit-flip and trit-phase-flip factors sit at their limits 1/6 and 1/12
+TIME_LAW_RATES = (0.7, 1.9)
+FULL_TIME_LAW_GRID = (*np.linspace(0.0, 8.0, 101).tolist(), 20.0, 40.0)
+QUICK_TIME_LAW_GRID = (0.0, 0.5, 2.0, 20.0)
 
 # offset added to one bit-flip table entry under inject_fault, to show the
 # harness detects a wrong tabulated coefficient
@@ -340,6 +349,34 @@ def _qutrit_endpoints() -> Evaluations:
         yield abs(row.d_numeric - expected), f"worst at {kind.value}"
 
 
+def _time_law(kind: ChannelKind, x: float, y: float) -> float:
+    """The decay factor A(x) B(y) at x = e^{-r_a t} on the qubit and y = e^{-r_b t} on the qutrit."""
+    if kind is ChannelKind.DEPHASING:
+        return x * y
+    if kind is ChannelKind.BIT_FLIP:
+        return x * x * (1.0 + 5.0 * y * y) / 6.0
+    if kind is ChannelKind.BIT_PHASE_FLIP:
+        return x * x * (1.0 + 2.0 * y + 9.0 * y * y) / 12.0
+    return x * x * y * y
+
+
+def _time_laws(quick: bool) -> Evaluations:
+    rate_a, rate_b = TIME_LAW_RATES
+    grid = QUICK_TIME_LAW_GRID if quick else FULL_TIME_LAW_GRID
+    for b, c in FULL_BC_POINTS[:1 if quick else 2]:
+        for kind in ChannelKind:
+            for locality in Locality:
+                spec = SweepSpec(NoiseScenario(kind, locality), b, c, grid,
+                                 axis=SweepAxis.TIME, rate_a=rate_a, rate_b=rate_b)
+                for row in run_sweep(spec):
+                    x = 1.0 if locality is Locality.QUTRIT_ONLY else math.exp(-rate_a * row.t)
+                    y = 1.0 if locality is Locality.QUBIT_ONLY else math.exp(-rate_b * row.t)
+                    law = 0.5 * (b - c) ** 2 * _time_law(kind, x, y)
+                    where = f"worst at b={b:.4g}, c={c:.4g}, {kind.value}/{locality.value}, t={row.t:.3g}"
+                    yield abs(row.d_numeric - law), where + " (numeric)"
+                    yield abs(row.d_closed - law), where + " (closed form)"
+
+
 def run_verification(seed: int = 0, quick: bool = False, inject_fault: bool = False) -> VerificationReport:
     """Run every check and collect a deterministic report.
 
@@ -373,5 +410,6 @@ def run_verification(seed: int = 0, quick: bool = False, inject_fault: bool = Fa
             Locality.QUTRIT_ONLY, [ChannelKind.PHASE_FLIP, ChannelKind.DEPOLARIZING], quick,
         )),
         _tally("qutrit-endpoint-positivity", TOL_ASYMPTOTE, _qutrit_endpoints()),
+        _tally("time-laws", TOL_TIME_LAW, _time_laws(quick)),
     ]
     return VerificationReport(version=__version__, seed=seed, quick=quick, checks=tuple(checks))

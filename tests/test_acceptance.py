@@ -35,6 +35,8 @@ QUALITATIVE = {  # name -> (tolerance, evaluations)
 }
 BASIS = {"hermitian-basis-orthonormality": 4**2 + 9**2}  # every Gram entry of both bases
 CERTIFICATE = {"angle-certificate": 60}  # the oracle samples, scored at the numeric route's angles
+# both values of every row: 15 kind x locality pairs, two (b, c), a 101-point time line and two long times
+TIME_LAWS = {"time-laws": 2 * 15 * 2 * 103}
 
 
 @pytest.fixture(scope="module")
@@ -81,13 +83,14 @@ def report(number, label, found, detail):
 
 def test_report_has_exactly_the_pinned_checks(full_report, checks):
     expected = (
-        set(CLOSED_FORM) | set(TABLES) | set(BASIS) | set(QUALITATIVE) | set(CERTIFICATE)
+        set(CLOSED_FORM) | set(TABLES) | set(BASIS) | set(QUALITATIVE) | set(CERTIFICATE) | set(TIME_LAWS)
         | {"kraus-completeness", "oracle-agreement", "werner-cross-check"}
     )
     names = [check.name for check in full_report.checks]
     assert sorted(names) == sorted(expected)
     assert full_report.passed
     assert pinned(checks, CERTIFICATE, 1e-12) == []
+    assert pinned(checks, TIME_LAWS, 1e-13) == []
 
 
 def test_criterion_1_closed_form_reproduction(checks):

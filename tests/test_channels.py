@@ -315,26 +315,52 @@ class TestApplyScenario:
         with pytest.raises(GmqdError, match="^scenario application needs a 6x6 state, got 4$"):
             evolve(DensityMatrix(np.eye(4) / 4), ChannelKind.DEPHASING, 0.3, 0.3)
 
-    def test_evolve_rejects_strengths_that_do_not_fit_the_stack(self):
+    def test_evolve_rejects_a_stack_of_states(self):
         stack = DensityMatrix(np.stack([np.eye(6) / 6] * 3))
-        with pytest.raises(GmqdError, match="do not broadcast together, got shapes \\(3,\\), \\(4,\\), \\(\\)$"):
-            evolve(stack, ChannelKind.DEPHASING, np.full(4, 0.3), 0.3)
+        with pytest.raises(GmqdError, match="^scenario application needs one state, got a stack of 3$"):
+            evolve(stack, ChannelKind.DEPHASING, 0.3, 0.3)
+
+    def test_evolve_rejects_strengths_that_do_not_broadcast(self):
+        with pytest.raises(GmqdError, match="^gamma_a and gamma_b do not broadcast together, got shapes \\(3,\\), \\(4,\\)$"):
+            evolve(DensityMatrix(np.eye(6) / 6), ChannelKind.DEPHASING, np.full(3, 0.3), np.full(4, 0.3))
 
     def test_evolve_rejects_a_two_dimensional_strength_array(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a state was evolved")
 
-        monkeypatch.setattr(channels, "_apply_ops", forbidden)
+        monkeypatch.setattr(channels, "_weighted_images", forbidden)
         with pytest.raises(GmqdError, match="one state or a nonempty 1-D stack, got shape \\(2, 3\\)$"):
             evolve(DensityMatrix(np.eye(6) / 6), ChannelKind.DEPHASING, np.full((2, 3), 0.3), 0.3)
 
-    def test_subsystem_application_order_is_irrelevant(self, rng):
-        from gmqd.channels import _apply_ops
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_subsystem_application_order_is_irrelevant(self, kind, rng):
+        # qubit-only then qutrit-only, the reverse, and both at once are one channel
+        rho = random_density(6, rng)
+        ga, gb = 0.35, 0.55
+        ef = evolve(evolve(rho, kind, ga, 0.0), kind, 0.0, gb).mat
+        fe = evolve(evolve(rho, kind, 0.0, gb), kind, ga, 0.0).mat
+        both = evolve(rho, kind, ga, gb).mat
+        assert np.max(np.abs(ef - fe)) <= 1e-12
+        assert np.max(np.abs(ef - both)) <= 1e-12
 
-        for kind in ALL_KINDS:
-            rho = random_density(6, rng).mat[None]
-            e_ops = qubit_kraus(kind, [0.35]).ops
-            f_ops = qutrit_kraus(kind, [0.55]).ops
-            ef = _apply_ops(_apply_ops(rho, e_ops), f_ops)
-            fe = _apply_ops(_apply_ops(rho, f_ops), e_ops)
-            assert np.max(np.abs(ef - fe)) <= 1e-12
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS,
+                             ids=lambda s: f"{s.kind.value}/{s.locality.value}")
+    def test_image_form_matches_the_kraus_sum_on_sweep_grids(self, scenario, rng):
+        # the strengths of 101-point gamma and time lines, and of an 11x11 multi-local surface
+        locality = scenario.locality
+        grid = np.linspace(0.0, 1.0, 101)
+        lines = [
+            np.broadcast_arrays(*locality.pin(grid, grid)),
+            np.broadcast_arrays(*gammas_at_time(locality, np.linspace(0.0, 8.0, 101), 0.7, 1.9)),
+        ]
+        if locality is Locality.MULTI_LOCAL:
+            side = np.linspace(0.0, 1.0, 11)
+            lines.append((np.repeat(side, 11), np.tile(side, 11)))
+        for rho in (initial_state(TwoParamState.from_bc(0.2, 0.1)), random_density(6, rng)):
+            for gamma_a, gamma_b in lines:
+                expected = np.broadcast_to(rho.mat, (len(gamma_a), 6, 6))
+                for maker, gammas in ((qubit_kraus, gamma_a), (qutrit_kraus, gamma_b)):
+                    ops = maker(scenario.kind, gammas).ops
+                    expected = (ops @ expected[:, None] @ ops.conj().swapaxes(-1, -2)).sum(axis=1)
+                out = evolve(rho, scenario.kind, gamma_a, gamma_b).mat
+                assert np.max(np.abs(out - expected)) <= 1e-15

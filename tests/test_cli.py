@@ -510,6 +510,22 @@ class TestBadUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--conf", "run.cfg", "channels"),
+        ("--conf=run.cfg", "channels"),
+        ("--b", "0.2", "compute", "--c", "0.1"),
+        ("-x", "verify"),
+    ], ids=["conf", "conf-equals", "command-flag", "short"])
+    def test_an_option_before_the_command_is_named_as_unknown(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"gmqd: error: unrecognized arguments: {argv[0]}\n")
+        assert "invalid choice" not in err
+
+    def test_help_before_the_command_still_prints_help(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0 and "--config FILE" in out
+
     def test_missing_required_flag_exits_2(self, capsys):
         assert run_cli(capsys, "compute", "--b", "0.2")[0] == 2
 
@@ -524,8 +540,8 @@ class TestBadUsage:
         (("sweep", "--b", "0.2", "--c", "0.1", "--point", "3"), "unrecognized arguments: --point 3"),
         (("compute", "--b", "0.2", "--c", "0.1", "--with"), "unrecognized arguments: --with"),
         (("verify", "--qu"), "unrecognized arguments: --qu"),
-        # --conf no longer reads as --config, so its value is taken for the command
-        (("--conf", "run.cfg", "channels"), "invalid choice: 'run.cfg'"),
+        # --conf is no --config, and its value is not taken for the command
+        (("--conf", "run.cfg", "channels"), "unrecognized arguments: --conf\n"),
     ], ids=["sweep-a", "sweep-point", "compute-with", "verify-qu", "conf"])
     def test_flag_prefixes_exit_2(self, capsys, argv, message):
         # a prefix is no abbreviation: --a once ran a time sweep as --axis

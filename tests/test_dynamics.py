@@ -208,25 +208,26 @@ class TestRunSweep:
             return [tuple(None if v is None else v.hex() for v in dataclasses.astuple(row)) for row in rows]
 
         runs = {}
-        for chunk in (1, 7, 16, 64, 1000):
+        for chunk in (1, 7, 16, 64, 101, SWEEP_CHUNK, 1000):
             monkeypatch.setattr(dynamics, "SWEEP_CHUNK", chunk)
             runs[chunk] = bits(run_sweep(spec))
         assert all(rows == runs[1] for rows in runs.values())
 
     def test_one_kraus_call_per_side_per_chunk(self, monkeypatch):
-        # evolve looks the builders up through the channels module, where the
-        # benchmark's channels.kraus layer counts them
+        # evolve takes each side's Gram weights from one coefficient-table call
+        # per chunk, looked up through the channels module as verify's table
+        # mutations patch it
         calls = []
-        for name in ("qubit_kraus", "qutrit_kraus"):
+        for name in ("_qubit_coeffs", "_qutrit_coeffs"):
             def counted(kind, gamma, name=name, make=getattr(channels, name)):
                 calls.append(name)
                 return make(kind, gamma)
 
             monkeypatch.setattr(channels, name, counted)
-        rows = run_sweep(spec_for(ChannelKind.DEPOLARIZING, Locality.MULTI_LOCAL, gamma_grid(101)))
-        chunks = math.ceil(101 / SWEEP_CHUNK)
-        assert len(rows) == 101
-        assert calls.count("qubit_kraus") == calls.count("qutrit_kraus") == chunks
+        points = 2 * SWEEP_CHUNK + 3
+        rows = run_sweep(spec_for(ChannelKind.DEPOLARIZING, Locality.MULTI_LOCAL, gamma_grid(points)))
+        assert len(rows) == points
+        assert calls.count("_qubit_coeffs") == calls.count("_qutrit_coeffs") == 3
 
     def test_independent_gamma_surface_order(self):
         grid = (0.0, 0.5, 1.0)

@@ -10,7 +10,7 @@ from gmqd.channels import ChannelKind, Locality, NoiseScenario
 from gmqd.errors import GmqdError, check_count
 from gmqd.states import TwoParamState, initial_state
 
-ALL_CHECKS = 22
+ALL_CHECKS = 23
 CLOSED_FORM_GROUPS = {
     "closed-form-vs-numeric/no-noise",
     *(f"closed-form-vs-numeric/multi-local/{kind.value}" for kind in ChannelKind),
@@ -134,6 +134,9 @@ def reweighted(kind, squared_weights, at=lambda g: True):
     return breaks
 
 
+# time-laws scores the rows of quick time sweeps of every kind and locality,
+# so each defect that reaches a time-axis row fails it too; it runs last, so
+# it never holds the first failure's detail
 @pytest.mark.parametrize("module, attr, breaks, expected, first_detail", [
     (verify, "standard_basis", scaled_basis_element, {"hermitian-basis-orthonormality"},
      "worst at qutrit (4,4)"),
@@ -143,6 +146,7 @@ def reweighted(kind, squared_weights, at=lambda g: True):
         "closed-form-vs-numeric/multi-local/bit-flip",
         "closed-form-vs-numeric/qubit-only",
         "qubit-only-equivalence",
+        "time-laws",
     }, "gammas=(1.00,0.00)"),
     # qutrit phase-flip with weight 0.3 g on each phase unitary in place of g / 3
     (channels, "_qutrit_coeffs",
@@ -151,6 +155,7 @@ def reweighted(kind, squared_weights, at=lambda g: True):
         "closed-form-vs-numeric/multi-local/phase-flip",
         "closed-form-vs-numeric/qutrit-only",
         "qutrit-only-equivalence",
+        "time-laws",
     }, "gammas=(0.00,1.00)"),
     # qutrit bit-flip that keeps half the state unshifted at gamma = 1 only
     (channels, "_qutrit_coeffs",
@@ -159,14 +164,15 @@ def reweighted(kind, squared_weights, at=lambda g: True):
         "closed-form-vs-numeric/multi-local/bit-flip",
         "closed-form-vs-numeric/qutrit-only",
         "qutrit-endpoint-positivity",
+        "time-laws",
     }, "gammas=(0.00,1.00)"),
-    (dynamics, "closed_form", lambda f: shift_value(f, 1e-6), CLOSED_FORM_GROUPS,
+    (dynamics, "closed_form", lambda f: shift_value(f, 1e-6), CLOSED_FORM_GROUPS | {"time-laws"},
      "worst at b="),
     # the numeric value of the sweep path that gmqd sweep writes; the oracle
     # check calls gmqd_numeric directly and the equivalence checks compare
     # sweep rows with each other, where the shift cancels, so they still pass
     (dynamics, "gmqd_numeric", lambda f: shift_value(f, 1e-6),
-     CLOSED_FORM_GROUPS | {"qutrit-endpoint-positivity"}, "worst at b="),
+     CLOSED_FORM_GROUPS | {"qutrit-endpoint-positivity", "time-laws"}, "worst at b="),
     (verify, "gmqd_oracle", lambda f: shift_value(f, -1e-5), {"oracle-agreement"},
      "(oracle fell below the numeric value)"),
     (verify, "gmqd_dakic_two_qubit", lambda f: shift_value(f, 1e-6), {"werner-cross-check"},
@@ -174,11 +180,12 @@ def reweighted(kind, squared_weights, at=lambda g: True):
     # a route that returns NaN fails its checks, located at its first NaN;
     # the NaN rows of the sweep path count as vanished in no-sudden-death and
     # fail the equivalence checks, which read the same rows
-    (dynamics, "closed_form", lambda f: shift_value(f, math.nan), CLOSED_FORM_GROUPS,
+    (dynamics, "closed_form", lambda f: shift_value(f, math.nan), CLOSED_FORM_GROUPS | {"time-laws"},
      "worst at b=0.2, c=0.1, gammas=(0.00,0.00)"),
     (dynamics, "gmqd_numeric", lambda f: shift_value(f, math.nan),
      CLOSED_FORM_GROUPS | {
          "no-sudden-death", "qubit-only-equivalence", "qutrit-only-equivalence", "qutrit-endpoint-positivity",
+         "time-laws",
      },
      "worst at b=0.2, c=0.1, gammas=(0.00,0.00)"),
     (verify, "closed_form_coefficients", lambda f: shift_value(f, math.nan),
@@ -191,7 +198,7 @@ def reweighted(kind, squared_weights, at=lambda g: True):
     # every check that reads run_sweep sees the zeroed row; the one-point
     # no-noise sweeps are zeroed whole
     (verify, "run_sweep", zero_interior_row,
-     CLOSED_FORM_GROUPS | {"no-sudden-death", "qutrit-endpoint-positivity"},
+     CLOSED_FORM_GROUPS | {"no-sudden-death", "qutrit-endpoint-positivity", "time-laws"},
      "worst at b=0.1, c=0.35, gammas=(0.00,0.00)"),
     # KrausSet rejects the table, so every check that builds a depolarizing
     # qubit channel raises; each fails alone and the report is still complete
@@ -202,6 +209,7 @@ def reweighted(kind, squared_weights, at=lambda g: True):
         "closed-form-vs-numeric/qubit-only",
         "no-sudden-death",
         "qubit-only-equivalence",
+        "time-laws",
     }, "raised: Kraus completeness violated by"),
 ], ids=["basis", "qubit-weight", "qutrit-weight", "qutrit-endpoint",
         "closed-form", "sweep-numeric", "oracle", "dakic",
@@ -232,6 +240,32 @@ def test_wrong_reported_angles_fail_the_angle_certificate(monkeypatch, wrong):
     monkeypatch.setattr(measures, "_angles_from_direction", lambda e: wrong(*angles(e)))
     report = verify.run_verification(seed=0)
     assert [c.name for c in report.checks if not c.passed] == ["angle-certificate"]
+
+
+def swapped_rates(gammas_at_time):
+    def broken(locality, t, rate_a, rate_b):
+        return gammas_at_time(locality, t, rate_b, rate_a)
+
+    return broken
+
+
+def halved_rate(gamma_of_t):
+    def broken(t, decay_rate):
+        return gamma_of_t(t, decay_rate / 2.0)
+
+    return broken
+
+
+@pytest.mark.parametrize("module, attr, breaks", [
+    (dynamics, "gammas_at_time", swapped_rates),
+    (channels, "gamma_of_t", halved_rate),
+], ids=["swapped-rates", "halved-rate"])
+def test_wrong_decay_rates_fail_the_time_laws(monkeypatch, module, attr, breaks):
+    # every other check reads gamma-axis rows, or the same strengths as the
+    # closed form, so only the laws in t see a wrong gamma(t)
+    monkeypatch.setattr(module, attr, breaks(getattr(module, attr)))
+    report = verify.run_verification(seed=0)
+    assert [c.name for c in report.checks if not c.passed] == ["time-laws"]
 
 
 def test_a_raising_check_keeps_its_name_tolerance_and_count(monkeypatch):
