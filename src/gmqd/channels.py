@@ -330,5 +330,5 @@ def evolve(rho: DensityMatrix, kind: ChannelKind, gamma_a, gamma_b) -> DensityMa
 
 
 def apply_scenario(rho: DensityMatrix, scenario: NoiseScenario) -> DensityMatrix:
-    """Evolve a 6x6 state through the scenario's channels: the one-state call of :func:`evolve`."""
+    """Evolve a 6x6 state through the scenario's channels: the one-pair call of :func:`evolve`."""
     return evolve(rho, scenario.kind, scenario.gamma_a, scenario.gamma_b)

@@ -15,8 +15,9 @@ checks, ``qutrit-endpoint-positivity`` and ``time-laws`` read the rows of
 :func:`gmqd.dynamics.run_sweep`, the path ``gmqd sweep`` runs, so they check
 that path itself.  ``time-laws`` scores time-axis rows against the decay
 laws in t alone, computed with :func:`math.exp`, so it sees a wrong gamma(t)
-that the closed form, reading the same strengths, cannot.  ``coefficient-tables`` scores each (b, c) as one stack of
-strength pairs through ``evolve``, ``correlation_matrix`` and
+that the closed form, reading the same strengths, cannot.
+``coefficient-tables`` scores each (b, c) as one stack of strength pairs
+through ``evolve``, ``correlation_matrix`` and
 ``closed_form_coefficients``; the oracle and Werner checks call their routes
 one state at a time.  ``angle-certificate`` evaluates the oracle's kernel at
 the angles ``gmqd_numeric`` reports for the oracle's samples, so it checks
@@ -350,7 +351,11 @@ def _qutrit_endpoints() -> Evaluations:
 
 
 def _time_law(kind: ChannelKind, x: float, y: float) -> float:
-    """The decay factor A(x) B(y) at x = e^{-r_a t} on the qubit and y = e^{-r_b t} on the qutrit."""
+    """The decay factor A(x) B(y) at x = e^{-r_a t} on the qubit and y = e^{-r_b t} on the qutrit.
+
+    These are the closed form's factors at gamma = 1 - x and 1 - y, written
+    in x and y so that they share no arithmetic with it.
+    """
     if kind is ChannelKind.DEPHASING:
         return x * y
     if kind is ChannelKind.BIT_FLIP:

@@ -176,6 +176,11 @@ class TestKrausSets:
         with pytest.raises(GmqdError, match=message):
             KrausSet(ops)
 
+    def test_a_nan_deviation_is_rejected(self):
+        # the rule asks for a deviation within the tolerance, which NaN is not
+        with pytest.raises(GmqdError, match="^Kraus completeness violated by nan$"):
+            channels._check_completeness(np.eye(6), np.full((6, 6), np.nan))
+
     def test_rejects_a_stack_with_one_incomplete_member(self):
         # the first incomplete set is named, with the message a single set gives
         complete = qubit_kraus(ChannelKind.DEPOLARIZING, 0.4).ops
@@ -305,6 +310,25 @@ class TestApplyScenario:
         for mat, ga, gb in zip(out.mat, gamma_a, gamma_b):
             one = apply_scenario(rho, NoiseScenario(kind, Locality.MULTI_LOCAL, ga, gb))
             assert mat.tobytes() == one.mat.tobytes()
+
+    @pytest.mark.parametrize("scale, message", [
+        (1.05, "^Kraus completeness violated by 8.200e-02$"),  # 0.8 * (1.05^2 - 1)
+        (math.nan, "^Kraus operator entries must be finite$"),
+    ], ids=["incomplete", "non-finite"])
+    def test_evolve_holds_the_gram_form_to_the_completeness_rule(self, monkeypatch, scale, message):
+        # one bad table entry at the second strength only; KrausSet gives the same message
+        qutrit_coeffs = channels._qutrit_coeffs
+
+        def broken(kind, g):
+            coeffs = qutrit_coeffs(kind, g)
+            coeffs[1:, 0, 0] *= scale
+            return coeffs
+
+        monkeypatch.setattr(channels, "_qutrit_coeffs", broken)
+        with pytest.raises(GmqdError, match=message):
+            evolve(DensityMatrix(np.eye(6) / 6), ChannelKind.BIT_FLIP, 0.0, [0.0, 0.3])
+        with pytest.raises(GmqdError, match=message):
+            qutrit_kraus(ChannelKind.BIT_FLIP, [0.0, 0.3])
 
     def test_evolve_checks_every_strength(self):
         rho = DensityMatrix(np.eye(6) / 6)
